@@ -229,11 +229,10 @@ Database::commitTx(TxContext &ctx)
     else
         coordinator_->commit(shard);
     finishCommitLocal(ctx);
-    ctx.lastOutcome = TxOutcome::kCommitted;
 }
 
 void
-Database::rollbackTx(TxContext &ctx, TxOutcome outcome)
+Database::rollbackTx(TxContext &ctx)
 {
     WalShard &shard = wal_->shard(ctx.shardId);
     shard.rollbackAndRetire(
@@ -250,7 +249,6 @@ Database::rollbackTx(TxContext &ctx, TxOutcome outcome)
         std::memory_order_release);
     rows_->finishRollback(ctx.rowTx);
     endTxCommon(ctx);
-    ctx.lastOutcome = outcome;
 }
 
 template <typename Fn>
@@ -261,34 +259,31 @@ Database::mutate(Fn &&fn)
     bool own = !ctx.explicitTx;
     if (own)
         beginTx(ctx);
+    // The whole transaction rolls back (auto and explicit alike); an
+    // explicit one is flagged so its handle reports why.
+    auto engine_abort = [&](StatusCode code) {
+        rollbackTx(ctx);
+        if (!own) {
+            ctx.explicitTx = false;
+            ctx.aborted = true;
+            ctx.abortCode = code;
+        }
+    };
     ResultSet rs;
     try {
         rs = fn(ctx);
     } catch (const WalFullError &e) {
-        // Recoverable: undo what the transaction already wrote and
-        // surface the outcome; the database stays usable. Rethrown
-        // as WalFullError so callers can distinguish "transaction
-        // too big" from genuine engine failures by type.
-        rollbackTx(ctx, TxOutcome::kRolledBackWalFull);
-        if (!own) {
-            ctx.explicitTx = false;
-            ctx.aborted = true;
-            ctx.abortCode = StatusCode::kWalFull;
-        }
+        // Recoverable: undo what the transaction already wrote; the
+        // database stays usable. Rethrown as WalFullError so callers
+        // can distinguish "transaction too big" from genuine engine
+        // failures by type.
+        engine_abort(StatusCode::kWalFull);
         throw WalFullError(
             strCat("db: transaction rolled back: ", e.what()));
     } catch (const TxnAbortError &e) {
-        // Deadlock victim or snapshot write conflict: the whole
-        // transaction rolls back (auto and explicit alike — the
-        // write locks must drop to break the cycle).
-        rollbackTx(ctx, e.code() == StatusCode::kDeadlock
-                            ? TxOutcome::kRolledBackDeadlock
-                            : TxOutcome::kRolledBackConflict);
-        if (!own) {
-            ctx.explicitTx = false;
-            ctx.aborted = true;
-            ctx.abortCode = e.code();
-        }
+        // Deadlock victim or snapshot write conflict: the write
+        // locks must drop to break the cycle.
+        engine_abort(e.code());
         throw;
     } catch (const SimulatedCrash &) {
         throw; // power failed mid-statement; recovery sorts it out
@@ -297,7 +292,7 @@ Database::mutate(Fn &&fn)
         // pk, full table): an auto-txn rolls back; an explicit txn
         // stays open for the caller to decide.
         if (own)
-            rollbackTx(ctx, TxOutcome::kRolledBack);
+            rollbackTx(ctx);
         throw;
     }
     if (own)
@@ -305,98 +300,66 @@ Database::mutate(Fn &&fn)
     return rs;
 }
 
+Database::TxContext *
+Database::openTx(Isolation iso, Word bracket_snapshot, bool nowait)
+{
+    TxContext &ctx = txContext();
+    if (ctx.explicitTx)
+        fatal("db: nested transactions are not supported");
+    ctx.aborted = false;
+    ctx.abortCode = StatusCode::kOk;
+    if (!beginTx(ctx, iso, bracket_snapshot, nowait))
+        return nullptr;
+    ctx.explicitTx = true;
+    return &ctx;
+}
+
 Txn
 Database::beginTxn(const TxnOptions &opts)
 {
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    beginTx(ctx, opts.isolation);
-    ctx.explicitTx = true;
-    return Txn(this, nullptr, ctx.txnSeq, ctx.snapshot);
+    TxContext *ctx = openTx(opts.isolation);
+    return Txn(this, nullptr, ctx->txnSeq, ctx->snapshot);
 }
 
 Status
-Database::commitHandle(std::uint64_t seq)
+Database::finishTx(TxContext &ctx, bool commit)
 {
-    TxContext *ctx = txContextIfAny();
-    if (ctx == nullptr || ctx->txnSeq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "db: commit on a foreign or stale "
-                            "transaction handle");
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            // The engine already rolled this transaction back
-            // mid-statement; report why.
-            ctx->aborted = false;
-            StatusCode code = ctx->abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : ctx->abortCode;
-            return Status::make(
-                code, "db: transaction was rolled back by the engine");
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
-    }
-    ctx->explicitTx = false;
-    commitTx(*ctx);
-    return Status::ok();
-}
-
-Status
-Database::rollbackHandle(std::uint64_t seq)
-{
-    TxContext *ctx = txContextIfAny();
-    if (ctx == nullptr || ctx->txnSeq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "db: rollback on a foreign or stale "
-                            "transaction handle");
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            ctx->aborted = false;
+    if (!ctx.explicitTx) {
+        if (!ctx.aborted)
+            return Status::make(StatusCode::kMisuse,
+                                "db: transaction already finished");
+        ctx.aborted = false;
+        if (!commit)
             return Status::ok(); // already rolled back, as requested
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
+        StatusCode code = ctx.abortCode == StatusCode::kOk
+                              ? StatusCode::kAborted
+                              : ctx.abortCode;
+        return Status::make(
+            code, "db: transaction was rolled back by the engine");
     }
-    ctx->explicitTx = false;
-    rollbackTx(*ctx, TxOutcome::kRolledBack);
+    ctx.explicitTx = false;
+    if (commit)
+        commitTx(ctx);
+    else
+        rollbackTx(ctx);
     return Status::ok();
 }
 
-bool
-Database::handleActive(std::uint64_t seq) const
+Status
+Database::finishHandle(std::uint64_t seq, bool commit)
 {
     TxContext *ctx = txContextIfAny();
-    return ctx != nullptr && ctx->explicitTx && ctx->txnSeq == seq;
-}
-
-void
-Database::beginWith(Isolation iso, Word bracket_snapshot)
-{
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    beginTx(ctx, iso, bracket_snapshot);
-    ctx.explicitTx = true;
+    if (ctx == nullptr || ctx->txnSeq != seq)
+        return Status::make(StatusCode::kMisuse,
+                            "db: foreign or stale transaction handle");
+    return finishTx(*ctx, commit);
 }
 
 bool
-Database::beginWithTry(Isolation iso, Word bracket_snapshot)
+Database::powerLost()
 {
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    if (!beginTx(ctx, iso, bracket_snapshot, /*nowait=*/true))
-        return false;
-    ctx.explicitTx = true;
-    return true;
+    CrashInjector *inj = dev_->injector();
+    return inj != nullptr && inj->tripped();
 }
 
 Status
@@ -485,36 +448,13 @@ Database::takeDetached(std::uint64_t id)
 Status
 Database::commitDetached(std::uint64_t id)
 {
-    std::unique_ptr<TxContext> ctx = takeDetached(id);
-    if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            StatusCode code = ctx->abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : ctx->abortCode;
-            return Status::make(
-                code, "db: transaction was rolled back by the engine");
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
-    }
-    ctx->explicitTx = false;
-    commitTx(*ctx);
-    return Status::ok();
+    return finishTx(*takeDetached(id), true);
 }
 
 Status
 Database::rollbackDetached(std::uint64_t id)
 {
-    std::unique_ptr<TxContext> ctx = takeDetached(id);
-    if (!ctx->explicitTx) {
-        if (ctx->aborted)
-            return Status::ok(); // already rolled back, as requested
-        return Status::make(StatusCode::kMisuse,
-                            "db: transaction already finished");
-    }
-    ctx->explicitTx = false;
-    rollbackTx(*ctx, TxOutcome::kRolledBack);
-    return Status::ok();
+    return finishTx(*takeDetached(id), false);
 }
 
 void
@@ -523,16 +463,7 @@ Database::commitDetachedAsync(std::uint64_t id,
 {
     std::unique_ptr<TxContext> ctx = takeDetached(id);
     if (!ctx->explicitTx) {
-        if (ctx->aborted) {
-            StatusCode code = ctx->abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : ctx->abortCode;
-            done(Status::make(
-                code, "db: transaction was rolled back by the engine"));
-        } else {
-            done(Status::make(StatusCode::kMisuse,
-                              "db: transaction already finished"));
-        }
+        done(finishTx(*ctx, true)); // engine-aborted or finished
         return;
     }
     ctx->explicitTx = false;
@@ -541,7 +472,6 @@ Database::commitDetachedAsync(std::uint64_t id,
         // Nothing written: no fences, no batch — complete inline.
         shard.retireEmpty();
         finishCommitLocal(*ctx);
-        ctx->lastOutcome = TxOutcome::kCommitted;
         done(Status::ok());
         return;
     }
@@ -557,7 +487,6 @@ Database::commitDetachedAsync(std::uint64_t id,
                 return;
             }
             finishCommitLocal(*reclaim);
-            reclaim->lastOutcome = TxOutcome::kCommitted;
             done(Status::ok());
         });
 }
@@ -613,64 +542,6 @@ Database::finishPreparedTx(Word ts, bool prepared)
         shard.retireEmpty();
     rows_->finishCommit(ctx.rowTx, ctx.rowTx.saveImages ? ts : 0);
     endTxCommon(ctx);
-    ctx.lastOutcome = TxOutcome::kCommitted;
-}
-
-void
-Database::begin()
-{
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    beginTx(ctx);
-    ctx.explicitTx = true;
-}
-
-void
-Database::commit()
-{
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx) {
-        if (ctx.aborted) {
-            ctx.aborted = false;
-            fatal("db: transaction was already rolled back "
-                  "(undo log full)");
-        }
-        fatal("db: commit without begin");
-    }
-    ctx.explicitTx = false;
-    commitTx(ctx);
-}
-
-void
-Database::rollback()
-{
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx) {
-        if (ctx.aborted) {
-            ctx.aborted = false; // already rolled back by the engine
-            return;
-        }
-        fatal("db: rollback without begin");
-    }
-    ctx.explicitTx = false;
-    rollbackTx(ctx, TxOutcome::kRolledBack);
-}
-
-bool
-Database::inTransaction() const
-{
-    TxContext *ctx = txContextIfAny();
-    return ctx && ctx->explicitTx;
-}
-
-TxOutcome
-Database::lastTxOutcome() const
-{
-    TxContext *ctx = txContextIfAny();
-    return ctx ? ctx->lastOutcome : TxOutcome::kNone;
 }
 
 unsigned

@@ -12,29 +12,25 @@
  *    path. Typed records arrive directly, with a per-column dirty
  *    mask enabling field-level updates (§5).
  *
- * Both paths share the WAL, the row store, and the catalog; explicit
- * begin/commit brackets group statements, otherwise each call is
- * auto-committed.
+ * Both paths share the WAL, the row store, and the catalog; a
+ * transaction opened with beginTxn() groups statements, otherwise
+ * each call is auto-committed.
  *
- * Concurrency (PR 4): transactions are per-thread. Each thread is
- * bound to a TxContext owning one WAL shard and the transaction's
- * row write-set; begin()/commit()/rollback()/inTransaction() operate
- * on the calling thread's context, so N threads run N transactions
+ * Transactions: beginTxn(TxnOptions) opens an explicit transaction
+ * on the calling thread and returns its RAII Txn handle, whose
+ * commit()/rollback() report every failure mode as a db::Status.
+ * Each thread's open transaction lives in a TxContext owning one WAL
+ * shard and the row write-set, so N threads run N transactions
  * concurrently. Commits drain through the group-commit coordinator
  * (batch window: DatabaseConfig::groupCommitWindowUs, or the
  * ESPRESSO_DB_GROUP_COMMIT env var in microseconds; 0 = eager).
- * Caller contracts: DDL (createTable / CREATE TABLE) and crash()
- * must not run concurrently with other statements.
- *
- * Transactions + isolation (PR 6): beginTxn(TxnOptions) returns an
- * explicit RAII Txn handle whose commit() reports every failure mode
- * as a db::Status; the per-thread begin()/commit()/rollback() +
- * lastTxOutcome() shims remain. Write-write conflicts across rows no
- * longer require a caller-side lock order: a wait that closes a
- * cycle aborts its youngest transaction with StatusCode::kDeadlock.
- * Isolation::kSnapshot gives latch-free consistent reads at the
- * transaction's begin timestamp, with first-committer-wins write
- * conflicts (StatusCode::kConflict) — see db/txn.hh.
+ * Write-write conflicts across rows need no caller-side lock order:
+ * a wait that closes a cycle aborts its youngest transaction with
+ * StatusCode::kDeadlock. Isolation::kSnapshot gives latch-free
+ * consistent reads at the transaction's begin timestamp, with
+ * first-committer-wins write conflicts (StatusCode::kConflict) — see
+ * db/txn.hh. Caller contracts: DDL (createTable / CREATE TABLE) and
+ * crash() must not run concurrently with other statements.
  *
  * Detached sessions (PR 10, the wire front door): a Txn handle is
  * thread-affine by design — commit() from another thread reports
@@ -103,17 +99,6 @@ struct DatabaseConfig
     std::uint64_t groupCommitWindowUs = kWindowFromEnv;
 };
 
-/** How the calling thread's last transaction ended. */
-enum class TxOutcome
-{
-    kNone,
-    kCommitted,
-    kRolledBack,
-    kRolledBackWalFull,  ///< undo segment overflow forced a rollback
-    kRolledBackDeadlock, ///< chosen as a deadlock victim
-    kRolledBackConflict, ///< snapshot first-committer-wins conflict
-};
-
 /** Query result. */
 struct ResultSet
 {
@@ -149,20 +134,9 @@ class Database
      * parsing to "transformation". */
     void setPhaseTimer(PhaseTimer *timer) { timer_ = timer; }
 
-    /** @name Transactions (calling thread's) */
-    /// @{
     /** Open an explicit transaction on the calling thread and return
      * its handle. */
     Txn beginTxn(const TxnOptions &opts = {});
-
-    void begin();
-    void commit();
-    void rollback();
-    bool inTransaction() const;
-
-    /** Outcome of the calling thread's last finished transaction. */
-    TxOutcome lastTxOutcome() const;
-    /// @}
 
     /** @name Detached transaction sessions (wire front door)
      *
@@ -311,11 +285,9 @@ class Database
         bool explicitTx = false;
         /** Set when the engine rolled an explicit txn back
          * mid-statement (log full, deadlock victim, snapshot
-         * conflict); the next commit()/rollback() consumes it
-         * instead of fataling. */
+         * conflict); the next finishTx() reports abortCode. */
         bool aborted = false;
         StatusCode abortCode = StatusCode::kOk;
-        TxOutcome lastOutcome = TxOutcome::kNone;
         Isolation isolation = Isolation::kReadUncommitted;
         /** Snapshot timestamp (kNoSnapshot outside kSnapshot). */
         Word snapshot = kNoSnapshot;
@@ -354,7 +326,22 @@ class Database
                  Word bracket_snapshot = kNoSnapshot,
                  bool nowait = false);
     void commitTx(TxContext &ctx);
-    void rollbackTx(TxContext &ctx, TxOutcome outcome);
+    void rollbackTx(TxContext &ctx);
+
+    /** Open an explicit transaction on the calling thread's context
+     * (see beginTx for @p nowait; @p bracket_snapshot is a sharded
+     * bracket's already registered snapshot). Null only when a
+     * nowait begin found no free WAL shard token. */
+    TxContext *openTx(Isolation iso,
+                      Word bracket_snapshot = kNoSnapshot,
+                      bool nowait = false);
+
+    /** The one finish path for an explicit transaction: commit or
+     * roll it back. When the engine already rolled it back
+     * mid-statement, a commit reports why (abortCode, else
+     * kAborted) and a rollback succeeds; a finished transaction is
+     * kMisuse. */
+    Status finishTx(TxContext &ctx, bool commit);
 
     /** Post-durable-commit bookkeeping: allocate + publish the
      * commit timestamp, stamp rows, close the bracket. */
@@ -364,23 +351,16 @@ class Database
      * shard release. */
     void endTxCommon(TxContext &ctx);
 
-    /** @name Txn-handle plumbing (thread-affine) */
-    /// @{
-    Status commitHandle(std::uint64_t seq);
-    Status rollbackHandle(std::uint64_t seq);
-    bool handleActive(std::uint64_t seq) const;
-    /// @}
+    /** Finish the calling thread's transaction for the Txn handle
+     * minted with @p seq (kMisuse for a foreign or stale handle). */
+    Status finishHandle(std::uint64_t seq, bool commit);
+
+    /** True once this device's crash injector fired: the power is
+     * gone and rollback is crash() recovery's job. */
+    bool powerLost();
 
     /** @name 2PC member protocol (driven by ShardedDatabase) */
     /// @{
-    /** Like begin(), for a sharded bracket: the bracket's isolation
-     * and (already registered) snapshot apply to the member txn. */
-    void beginWith(Isolation iso, Word bracket_snapshot);
-
-    /** Nowait beginWith: false when no WAL shard token was free
-     * (nothing was opened). */
-    bool beginWithTry(Isolation iso, Word bracket_snapshot);
-
     /** Prepare the calling thread's open transaction under
      * @p txn_id; false when it logged nothing (vote commit with no
      * prepared state — finish retires it empty). */

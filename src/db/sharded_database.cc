@@ -91,29 +91,26 @@ ShardedDatabase::joinShard(TxState &st, unsigned idx)
 {
     if (!st.open || st.begun[idx])
         return;
-    if (st.nowait) {
-        // Wire bracket: take a free member WAL shard token or abort
-        // the whole bracket — the callers' catch blocks run
-        // noteMemberAbort, so the bracket dies cleanly kBusy.
-        if (!shards_[idx]->beginWithTry(st.isolation, st.snapshot))
-            throw TxnAbortError(StatusCode::kBusy,
-                                "sharded db: member undo-log shards "
-                                "are saturated; bracket aborted");
-    } else {
-        shards_[idx]->beginWith(st.isolation, st.snapshot);
-    }
+    // A wire (nowait) bracket takes a free member WAL shard token or
+    // aborts whole — the callers' catch blocks run noteMemberAbort,
+    // so the bracket dies cleanly kBusy.
+    if (shards_[idx]->openTx(st.isolation, st.snapshot, st.nowait) ==
+        nullptr)
+        throw TxnAbortError(StatusCode::kBusy,
+                            "sharded db: member undo-log shards are "
+                            "saturated; bracket aborted");
     st.begun[idx] = 1;
 }
 
 void
 ShardedDatabase::abortBracket(TxState &st)
 {
-    // Database::rollback also consumes a member the engine already
+    // A member rollback also consumes a member the engine already
     // rolled back (the aborted flag), so one loop covers both the
     // explicit-rollback and the engine-abort paths.
     for (unsigned i = 0; i < st.begun.size(); ++i) {
         if (st.begun[i])
-            shards_[i]->rollback();
+            (void)shards_[i]->finishTx(shards_[i]->txContext(), false);
         st.begun[i] = 0;
     }
     closeBracket(st);
@@ -208,6 +205,13 @@ ShardedDatabase::beginBracket(const TxnOptions &opts)
             break;
         activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
     }
+    openBracket(st, opts);
+    return st;
+}
+
+void
+ShardedDatabase::openBracket(TxState &st, const TxnOptions &opts)
+{
     st.aborted = false;
     st.abortCode = StatusCode::kOk;
     st.isolation = opts.isolation;
@@ -216,13 +220,6 @@ ShardedDatabase::beginBracket(const TxnOptions &opts)
                       : kNoSnapshot;
     st.seq = seqCounter_.fetch_add(1, std::memory_order_relaxed);
     st.open = true;
-    return st;
-}
-
-void
-ShardedDatabase::begin()
-{
-    (void)beginBracket(TxnOptions{});
 }
 
 Txn
@@ -243,12 +240,13 @@ ShardedDatabase::commitBracket(TxState &st)
     if (members.size() <= 1) {
         // Zero or one member: the member's own commit is already
         // atomic and durable; no coordinator round trip.
+        Status s = Status::ok();
         for (unsigned i : members) {
-            shards_[i]->commit();
+            s = shards_[i]->finishTx(shards_[i]->txContext(), true);
             st.begun[i] = 0;
         }
         closeBracket(st);
-        return Status::ok();
+        return s;
     }
 
     // Cross-shard 2PC, ascending shard order throughout (so
@@ -305,94 +303,50 @@ ShardedDatabase::commitBracket(TxState &st)
     return Status::ok();
 }
 
-void
-ShardedDatabase::commit()
-{
-    TxState &st = txState();
-    if (!st.open) {
-        if (st.aborted) {
-            st.aborted = false;
-            fatal("sharded db: transaction was already rolled back "
-                  "(undo log full)");
-        }
-        fatal("sharded db: commit without begin");
-    }
-    (void)commitBracket(st);
-}
-
-void
-ShardedDatabase::rollback()
-{
-    TxState &st = txState();
-    if (!st.open) {
-        if (st.aborted) {
-            st.aborted = false; // already rolled back by the engine
-            return;
-        }
-        fatal("sharded db: rollback without begin");
-    }
-    abortBracket(st);
-}
-
-bool
-ShardedDatabase::inTransaction() const
-{
-    return txState().open;
-}
-
 Status
-ShardedDatabase::commitHandle(std::uint64_t seq)
+ShardedDatabase::finishBracket(TxState &st, bool commit)
 {
-    TxState &st = txState();
-    if (st.seq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: commit on a foreign or "
-                            "stale transaction handle");
     if (!st.open) {
-        if (st.aborted) {
-            // The engine already rolled this bracket back
-            // mid-statement; report why.
-            st.aborted = false;
-            StatusCode code = st.abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : st.abortCode;
-            return Status::make(code,
-                                "sharded db: transaction was rolled "
-                                "back by the engine");
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: transaction already "
-                            "finished");
-    }
-    return commitBracket(st);
-}
-
-Status
-ShardedDatabase::rollbackHandle(std::uint64_t seq)
-{
-    TxState &st = txState();
-    if (st.seq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: rollback on a foreign or "
-                            "stale transaction handle");
-    if (!st.open) {
-        if (st.aborted) {
-            st.aborted = false;
+        if (!st.aborted)
+            return Status::make(StatusCode::kMisuse,
+                                "sharded db: transaction already "
+                                "finished");
+        st.aborted = false;
+        if (!commit)
             return Status::ok(); // already rolled back, as requested
-        }
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: transaction already "
-                            "finished");
+        StatusCode code = st.abortCode == StatusCode::kOk
+                              ? StatusCode::kAborted
+                              : st.abortCode;
+        return Status::make(code, "sharded db: transaction was rolled "
+                                  "back by the engine");
     }
+    if (commit)
+        return commitBracket(st);
     abortBracket(st);
     return Status::ok();
 }
 
-bool
-ShardedDatabase::handleActive(std::uint64_t seq) const
+Status
+ShardedDatabase::finishHandle(std::uint64_t seq, bool commit)
 {
     TxState &st = txState();
-    return st.open && st.seq == seq;
+    if (st.seq != seq)
+        return Status::make(StatusCode::kMisuse,
+                            "sharded db: foreign or stale transaction "
+                            "handle");
+    return finishBracket(st, commit);
+}
+
+bool
+ShardedDatabase::powerLost()
+{
+    CrashInjector *inj = coordDev_->injector();
+    if (inj != nullptr && inj->tripped())
+        return true;
+    for (unsigned i = 0; i < shardCount(); ++i)
+        if (shards_[i]->powerLost())
+            return true;
+    return false;
 }
 
 Status
@@ -420,12 +374,7 @@ ShardedDatabase::beginDetached(const TxnOptions &opts,
     b.st.gen = generation_.load(std::memory_order_acquire);
     b.st.begun.assign(n, 0);
     b.st.nowait = true;
-    b.st.isolation = opts.isolation;
-    b.st.snapshot = opts.isolation == Isolation::kSnapshot
-                        ? clock_.beginSnapshot()
-                        : kNoSnapshot;
-    b.st.seq = seqCounter_.fetch_add(1, std::memory_order_relaxed);
-    b.st.open = true;
+    openBracket(b.st, opts);
     b.memberSessions.assign(n, 0);
 
     std::uint64_t id = b.st.seq;
@@ -495,13 +444,17 @@ ShardedDatabase::unbindDetached(std::uint64_t id)
     b.bound = false;
 }
 
-void
-ShardedDatabase::finishDetached(std::uint64_t id)
+Status
+ShardedDatabase::finishDetached(std::uint64_t id, bool commit)
 {
+    if (!bindDetached(id))
+        return Status::make(StatusCode::kMisuse,
+                            "sharded db: unknown or bound detached "
+                            "transaction");
+    Status s = finishBracket(txState(), commit);
+
     SpinGuard g(detachedMu_);
     auto it = detached_.find(id);
-    if (it == detached_.end() || !it->second.bound)
-        fatal("sharded db: finish of an unbound bracket");
     DetachedBracket &b = it->second;
     for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
         if (b.memberSessions[i] == 0)
@@ -518,56 +471,19 @@ ShardedDatabase::finishDetached(std::uint64_t id)
     fresh.begun.assign(slot.begun.size(), 0);
     slot = std::move(fresh);
     detached_.erase(it);
+    return s;
 }
 
 Status
 ShardedDatabase::commitDetached(std::uint64_t id)
 {
-    if (!bindDetached(id))
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: unknown or bound detached "
-                            "transaction");
-    TxState &st = txState();
-    Status s;
-    if (!st.open) {
-        if (st.aborted) {
-            StatusCode code = st.abortCode == StatusCode::kOk
-                                  ? StatusCode::kAborted
-                                  : st.abortCode;
-            s = Status::make(code,
-                             "sharded db: transaction was rolled "
-                             "back by the engine");
-        } else {
-            s = Status::make(StatusCode::kMisuse,
-                             "sharded db: transaction already "
-                             "finished");
-        }
-    } else {
-        s = commitBracket(st);
-    }
-    finishDetached(id);
-    return s;
+    return finishDetached(id, true);
 }
 
 Status
 ShardedDatabase::rollbackDetached(std::uint64_t id)
 {
-    if (!bindDetached(id))
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: unknown or bound detached "
-                            "transaction");
-    TxState &st = txState();
-    Status s = Status::ok();
-    if (!st.open) {
-        if (!st.aborted)
-            s = Status::make(StatusCode::kMisuse,
-                             "sharded db: transaction already "
-                             "finished");
-    } else {
-        abortBracket(st);
-    }
-    finishDetached(id);
-    return s;
+    return finishDetached(id, false);
 }
 
 std::size_t

@@ -12,8 +12,8 @@
  * its WAL, crash recovery is per-shard-local — one member's power
  * failure never corrupts the others.
  *
- * Transactions are per-thread, like Database's. An explicit bracket
- * (beginTxn()/begin()) may touch several shards: it lazily opens the
+ * Transactions are per-thread, like Database's. A bracket opened
+ * with beginTxn() may touch several shards: it lazily opens the
  * calling thread's transaction on each shard it first writes.
  *
  * Cross-shard atomicity (PR 6) is two-phase commit. A bracket that
@@ -170,17 +170,9 @@ class ShardedDatabase
     bool migrating() const { return routingRef().migrating; }
     /// @}
 
-    /** @name Transactions (calling thread's) */
-    /// @{
     /** Open an explicit cross-shard transaction on the calling
      * thread and return its handle. */
     Txn beginTxn(const TxnOptions &opts = {});
-
-    void begin();
-    void commit();
-    void rollback();
-    bool inTransaction() const;
-    /// @}
 
     /** @name Detached cross-shard brackets (wire front door)
      *
@@ -256,7 +248,7 @@ class ShardedDatabase
      * while the other members keep serving *reads and new
      * auto-committed work*. Every thread's bracket state is
      * generation-invalidated, so callers must be quiesced with no
-     * open begin()/commit() bracket anywhere (same contract as
+     * open transaction bracket anywhere (same contract as
      * Database::crash); under that contract no member holds 2PC
      * prepared state, so the member recovers presumed-abort.
      */
@@ -295,8 +287,8 @@ class ShardedDatabase
         bool open = false;
         /** Set when the engine killed the bracket mid-statement
          * (WAL-full, deadlock victim, snapshot conflict); the next
-         * commit()/rollback() consumes it instead of fataling
-         * (mirrors Database's aborted-flag contract). */
+         * finishBracket() reports abortCode (mirrors Database's
+         * aborted-flag contract). */
         bool aborted = false;
         StatusCode abortCode = StatusCode::kOk;
         Isolation isolation = Isolation::kReadUncommitted;
@@ -328,6 +320,16 @@ class ShardedDatabase
 
     TxState &beginBracket(const TxnOptions &opts);
 
+    /** Bracket prologue shared by beginBracket and beginDetached:
+     * isolation, snapshot, sequence, open. */
+    void openBracket(TxState &st, const TxnOptions &opts);
+
+    /** The one finish path for a bracket: commit or roll it back.
+     * When the engine already killed it mid-statement, a commit
+     * reports why (abortCode, else kAborted) and a rollback
+     * succeeds; a finished bracket is kMisuse. */
+    Status finishBracket(TxState &st, bool commit);
+
     /** Commit the bracket: direct member commit for ≤ 1 member,
      * 2PC for more. */
     Status commitBracket(TxState &st);
@@ -344,17 +346,18 @@ class ShardedDatabase
     /** Kill the bracket after a member aborted mid-statement. */
     void noteMemberAbort(TxState &st, StatusCode code);
 
-    /** Teardown after a bound bracket finished: unbind + dispose
-     * every member session, reset the thread slot, erase the
-     * entry. */
-    void finishDetached(std::uint64_t id);
+    /** Finish parked bracket @p id: bind it, finishBracket, then
+     * unbind + dispose every member session, reset the thread slot,
+     * and erase the entry. */
+    Status finishDetached(std::uint64_t id, bool commit);
 
-    /** @name Txn-handle plumbing (thread-affine) */
-    /// @{
-    Status commitHandle(std::uint64_t seq);
-    Status rollbackHandle(std::uint64_t seq);
-    bool handleActive(std::uint64_t seq) const;
-    /// @}
+    /** Finish the calling thread's bracket for the Txn handle minted
+     * with @p seq (kMisuse for a foreign or stale handle). */
+    Status finishHandle(std::uint64_t seq, bool commit);
+
+    /** True once the coordinator's or a listed member's crash
+     * injector fired (see Database::powerLost). */
+    bool powerLost();
 
     /** @name Coordinator decision-slot allocation */
     /// @{

@@ -2,12 +2,12 @@
  * @file
  * Unified transaction status codes for the database API surface.
  *
- * The engine historically mixed failure modes: WalFullError
- * exceptions, fatal panics, bool returns and the per-thread
- * TxOutcome side channel. The Txn handle API collapses all of them
- * into one Status returned from Txn::commit(); WalFullError stays an
- * exception only inside the WAL layer, and the handle layer converts
- * it (and the new abort reasons) into codes.
+ * Every way a transaction can end — WAL overflow, deadlock victim,
+ * snapshot conflict, engine-side abort, misuse, admission refusal —
+ * comes back as one Status from Txn::commit()/rollback() or the
+ * detached-session finish calls. A statement that kills its
+ * transaction still throws (WalFullError, TxnAbortError), and the
+ * next finish reports the reason as a code.
  */
 
 #ifndef ESPRESSO_DB_STATUS_HH
@@ -37,8 +37,8 @@ enum class StatusCode
      * row committed after its snapshot was taken. Rolled back. */
     kConflict,
 
-    /** API misuse (commit without begin, double rollback, use after
-     * abort). */
+    /** API misuse (finishing an empty, finished, foreign-thread or
+     * stale transaction handle). */
     kMisuse,
 
     /** A statement inside the transaction failed and the transaction
@@ -109,9 +109,8 @@ class Status
 /**
  * Thrown by the row layer when a transaction must abort mid-flight
  * (deadlock victim, snapshot write conflict). The engine catches it,
- * rolls the transaction back, and surfaces it as a Status through
- * Txn::commit() — it escapes to callers of the legacy implicit API
- * so their catch(FatalError) paths keep working.
+ * rolls the transaction back, rethrows it to the statement's caller,
+ * and reports it again as a Status through Txn::commit().
  */
 class TxnAbortError : public FatalError
 {

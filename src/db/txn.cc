@@ -9,6 +9,7 @@
 
 #include "db/database.hh"
 #include "db/sharded_database.hh"
+#include "nvm/crash_injector.hh"
 
 namespace espresso {
 namespace db {
@@ -18,54 +19,48 @@ Txn::~Txn()
     abandon();
 }
 
-bool
-Txn::active() const
-{
-    if (db_ != nullptr)
-        return db_->handleActive(seq_);
-    if (sdb_ != nullptr)
-        return sdb_->handleActive(seq_);
-    return false;
-}
-
 Status
 Txn::commit()
 {
-    Status s = Status::make(StatusCode::kMisuse,
-                            "db: commit on an empty transaction handle");
-    if (db_ != nullptr)
-        s = db_->commitHandle(seq_);
-    else if (sdb_ != nullptr)
-        s = sdb_->commitHandle(seq_);
-    db_ = nullptr;
-    sdb_ = nullptr;
-    return s;
+    return finish(true);
 }
 
 Status
 Txn::rollback()
 {
+    return finish(false);
+}
+
+Status
+Txn::finish(bool commit)
+{
     Status s = Status::make(StatusCode::kMisuse,
-                            "db: rollback on an empty transaction "
-                            "handle");
+                            "db: empty transaction handle");
     if (db_ != nullptr)
-        s = db_->rollbackHandle(seq_);
+        s = db_->finishHandle(seq_, commit);
     else if (sdb_ != nullptr)
-        s = sdb_->rollbackHandle(seq_);
-    db_ = nullptr;
-    sdb_ = nullptr;
+        s = sdb_->finishHandle(seq_, commit);
+    if (s.code() != StatusCode::kMisuse) {
+        db_ = nullptr;
+        sdb_ = nullptr;
+    }
     return s;
 }
 
 void
-Txn::abandon()
+Txn::abandon() noexcept
 {
-    // Consumes an engine-side abort too; a kMisuse result (handle
-    // already finished elsewhere) is fine to drop.
-    if (db_ != nullptr)
-        (void)db_->rollbackHandle(seq_);
-    else if (sdb_ != nullptr)
-        (void)sdb_->rollbackHandle(seq_);
+    // Consumes an engine-side abort too; a kMisuse result (stale
+    // handle) is fine to drop. Once the power is gone every device
+    // event throws again, so rollback is left to crash() recovery.
+    try {
+        if (db_ != nullptr && !db_->powerLost())
+            (void)db_->finishHandle(seq_, false);
+        else if (sdb_ != nullptr && !sdb_->powerLost())
+            (void)sdb_->finishHandle(seq_, false);
+    } catch (const SimulatedCrash &) {
+        // The power failed during this rollback; the same holds.
+    }
     db_ = nullptr;
     sdb_ = nullptr;
 }

@@ -2,11 +2,10 @@
  * @file
  * The explicit transaction-handle API and the MVCC clock machinery.
  *
- * PR 6 replaces the implicit per-thread begin()/commit()/rollback() +
- * lastTxOutcome() side channel with an RAII db::Txn handle carrying
- * TxnOptions{isolation}. The old per-thread API survives as a thin
- * shim over the same engine internals, so existing callers compile
- * unchanged.
+ * An RAII db::Txn handle carrying TxnOptions{isolation} is the one
+ * way to run an in-thread transaction on a Database or a
+ * ShardedDatabase; transactions that hop threads use the engines'
+ * detached sessions instead.
  *
  * Isolation levels:
  *  - kReadUncommitted (default, the pre-PR-6 behavior): reads never
@@ -243,8 +242,11 @@ class SnapshotClock
 /**
  * An explicit transaction handle. Move-only and thread-affine: it
  * must be committed/rolled back on the thread that began it (the
- * engine's transaction state is per-thread). Destroying an open
- * handle rolls the transaction back.
+ * engine's transaction state is per-thread); a finish from another
+ * thread reports kMisuse and leaves the handle open. Destroying an
+ * open handle rolls the transaction back — unless the power is gone
+ * (a SimulatedCrash is unwinding), in which case crash() recovery
+ * rolls it back.
  */
 class Txn
 {
@@ -267,9 +269,6 @@ class Txn
     }
 
     ~Txn();
-
-    /** True while this handle's transaction is open. */
-    bool active() const;
 
     /** Commit; every failure mode (WAL overflow, deadlock victim,
      * snapshot write conflict, engine-side abort) comes back as a
@@ -302,8 +301,13 @@ class Txn
         o.seq_ = 0;
     }
 
-    /** Best-effort rollback of a still-open handle (dtor / move). */
-    void abandon();
+    /** Commit or roll back through the minting engine; the handle
+     * is spent unless the engine refused it (kMisuse). */
+    Status finish(bool commit);
+
+    /** Best-effort rollback of a still-open handle (dtor / move);
+     * never throws. */
+    void abandon() noexcept;
 
     Database *db_ = nullptr;
     ShardedDatabase *sdb_ = nullptr;

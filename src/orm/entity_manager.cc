@@ -20,10 +20,9 @@ EntityManager::setPhaseTimer(PhaseTimer *timer)
 void
 EntityManager::begin()
 {
-    if (inTx_)
+    if (tx_)
         fatal("EntityManager: transaction already open");
-    db_->begin();
-    inTx_ = true;
+    tx_.emplace(db_->beginTxn());
 }
 
 Entity *
@@ -73,7 +72,7 @@ EntityManager::remove(Entity *entity)
 void
 EntityManager::commit()
 {
-    if (!inTx_)
+    if (!tx_)
         fatal("EntityManager::commit without begin");
 
     // New entities first (referential ordering is the app's job, as
@@ -106,8 +105,10 @@ EntityManager::commit()
         }
     }
 
-    db_->commit();
-    inTx_ = false;
+    db::Status s = tx_->commit();
+    tx_.reset();
+    if (!s.isOk())
+        fatal(s.message());
 
     for (Entity *e : pendingNew_) {
         if (e->stateManager().state() != EntityState::kRemoved)
@@ -127,7 +128,7 @@ EntityManager::commit()
 void
 EntityManager::clear()
 {
-    if (inTx_)
+    if (tx_)
         fatal("EntityManager::clear inside a transaction");
     cache_.clear();
     pendingNew_.clear();

@@ -20,6 +20,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,8 @@ class Provider
     virtual void postCommit(db::Database &, Entity &) {}
 };
 
-/** The em of the paper's code snippets. */
+/** The em of the paper's code snippets. Destroying an em with an
+ * open transaction rolls the transaction back. */
 class EntityManager
 {
   public:
@@ -82,7 +84,9 @@ class EntityManager
     /** Schedule a managed entity for deletion. */
     void remove(Entity *entity);
 
-    /** em.getTransaction().commit(): flush all pending changes. */
+    /** em.getTransaction().commit(): flush all pending changes;
+     * FatalError carrying the engine's Status message when the
+     * database refuses the commit. */
     void commit();
 
     /** Drop the first-level cache (entities become invalid). */
@@ -96,7 +100,8 @@ class EntityManager
     Provider *provider_;
     const Enhancer *enhancer_;
     PhaseTimer *timer_ = nullptr;
-    bool inTx_ = false;
+    /** The open transaction (engaged between begin and commit). */
+    std::optional<db::Txn> tx_;
 
     std::vector<std::unique_ptr<Entity>> owned_;
     std::vector<Entity *> pendingNew_;

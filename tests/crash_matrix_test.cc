@@ -1017,10 +1017,11 @@ sweepWal(const WalScenario &sc, CrashMode mode, std::uint64_t seed)
         inj.arm(event);
         bool crashed = false;
         try {
-            d->begin();
+            db::Txn t = d->beginTxn();
             for (const char *sql : sc.body)
                 d->executeSql(sql);
-            d->commit();
+            db::Status s = t.commit();
+            EXPECT_TRUE(s.isOk()) << s.message();
         } catch (const SimulatedCrash &) {
             crashed = true;
         }

@@ -34,12 +34,13 @@ makeDb()
 void
 transferWorkload(Database &db)
 {
-    db.begin();
+    Txn t = db.beginTxn();
     db.executeSql("UPDATE ACCT SET BAL = 70 WHERE ID = 1");
     db.executeSql("UPDATE ACCT SET BAL = 130 WHERE ID = 2");
     db.executeSql(
         "INSERT INTO ACCT (ID, BAL) VALUES (3, 0)"); // audit row
-    db.commit();
+    Status s = t.commit();
+    EXPECT_TRUE(s.isOk()) << s.message();
 }
 
 void
@@ -154,7 +155,7 @@ runWorkload(Database &db, std::atomic<bool> *saw_unexpected)
                 std::this_thread::yield();
             try {
                 for (int i = 1; i <= kTxnsPerThread; ++i) {
-                    db.begin();
+                    Txn txn = db.beginTxn();
                     for (int k = 0; k < kKeysPerThread; ++k) {
                         DbRecord rec;
                         rec.values = {
@@ -164,7 +165,10 @@ runWorkload(Database &db, std::atomic<bool> *saw_unexpected)
                         rec.dirtyMask = 1ull << 1;
                         db.persistRecord("ACCT", rec);
                     }
-                    db.commit();
+                    if (!txn.commit().isOk()) {
+                        saw_unexpected->store(true);
+                        return;
+                    }
                     committed[t] = i;
                 }
             } catch (const SimulatedCrash &) {
@@ -365,13 +369,17 @@ runRounds(ShardedDatabase &db, const std::vector<std::int64_t> &keys)
     int acked = 0;
     try {
         for (int i = 1; i <= kRounds; ++i) {
-            db.begin();
+            Txn t = db.beginTxn();
             for (std::int64_t pk : keys) {
                 DbRecord rec = kvRow(pk, i);
                 rec.dirtyMask = 1ull << 1;
                 db.persistRecord("KV", rec);
             }
-            db.commit();
+            Status s = t.commit();
+            if (!s.isOk()) {
+                ADD_FAILURE() << "round " << i << ": " << s.message();
+                break;
+            }
             acked = i;
         }
     } catch (const SimulatedCrash &) {
@@ -443,10 +451,10 @@ twopcSweep(CrashMode mode, std::uint64_t window_us)
         EXPECT_EQ(db->rowCount("KV"), keys.size());
 
         // The recovered fabric accepts new cross-shard brackets.
-        db->begin();
+        Txn t = db->beginTxn();
         for (std::int64_t pk : keys)
             db->persistRecord("KV", kvRow(pk, 99));
-        db->commit();
+        EXPECT_TRUE(t.commit().isOk());
         DbRecord out;
         ASSERT_TRUE(db->fetchRecord("KV", keys.front(), &out));
         EXPECT_EQ(out.values[1].i, 99);
@@ -568,10 +576,10 @@ elasticSweep(CrashMode mode, bool grow_dir, std::uint64_t seed,
         }
 
         // The resumed membership accepts new cross-shard brackets.
-        db->begin();
+        Txn t = db->beginTxn();
         for (std::int64_t pk = 0; pk < kKeys; ++pk)
             db->persistRecord("KV", twopc::kvRow(pk, 99));
-        db->commit();
+        EXPECT_TRUE(t.commit().isOk());
         DbRecord out;
         ASSERT_TRUE(db->fetchRecord("KV", 0, &out));
         EXPECT_EQ(out.values[1].i, 99);

@@ -178,11 +178,11 @@ TEST_F(DatabaseTest, ExplicitTransactionRollback)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (2, 'Tmp', 0)");
-    db_->rollback();
+    EXPECT_TRUE(t.rollback().isOk());
 
     ResultSet rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     EXPECT_EQ(rs.rows[0][0].i, 30);
@@ -205,9 +205,11 @@ TEST_F(DatabaseTest, OpenTransactionRollsBackAcrossCrash)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
-    db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
-    db_->crash(); // commit never happened
+    {
+        Txn t = db_->beginTxn();
+        db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
+        db_->crash(); // commit never happened; the handle is stale
+    }
 
     ResultSet rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     ASSERT_EQ(rs.rows.size(), 1u);
@@ -218,7 +220,7 @@ TEST_F(DatabaseTest, WalDedupSkipsRepeatedRanges)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 1 WHERE ID = 1");
     WalShard &shard = db_->wal().shard(db_->currentTxShard());
     std::size_t used_after_first = shard.bytesUsed();
@@ -231,16 +233,16 @@ TEST_F(DatabaseTest, WalDedupSkipsRepeatedRanges)
     // Hot-row rewrites must not re-log the same old image.
     EXPECT_EQ(shard.bytesUsed(), used_after_first);
     EXPECT_EQ(shard.entryCount(), count_after_first);
-    db_->commit();
+    EXPECT_TRUE(t.commit().isOk());
     ResultSet rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     EXPECT_EQ(rs.rows[0][0].i, 50);
 
     // ... and rollback restores the pre-transaction image, not an
     // intermediate one.
-    db_->begin();
+    Txn r = db_->beginTxn();
     db_->executeSql("UPDATE PERSON SET AGE = 98 WHERE ID = 1");
     db_->executeSql("UPDATE PERSON SET AGE = 99 WHERE ID = 1");
-    db_->rollback();
+    EXPECT_TRUE(r.rollback().isOk());
     rs = db_->executeSql("SELECT AGE FROM PERSON WHERE ID = 1");
     EXPECT_EQ(rs.rows[0][0].i, 50);
 }
@@ -260,7 +262,7 @@ TEST(WalRecoveryTest, LogFullRollsBackRecoverably)
 
     // A transaction touching more rows than the segment holds must
     // roll back — and the process (and database) must survive.
-    db.begin();
+    Txn t = db.beginTxn();
     bool full = false;
     for (int i = 0; i < 64 && !full; ++i) {
         try {
@@ -271,22 +273,24 @@ TEST(WalRecoveryTest, LogFullRollsBackRecoverably)
         }
     }
     ASSERT_TRUE(full);
-    EXPECT_EQ(db.lastTxOutcome(), TxOutcome::kRolledBackWalFull);
-    EXPECT_FALSE(db.inTransaction());
-    // rollback() after the engine's own rollback is a quiet no-op;
-    // commit() of the dead transaction reports the outcome.
-    db.rollback();
+    // The engine rolled the transaction back itself and released its
+    // WAL shard; rollback() of the dead transaction is a quiet no-op.
+    EXPECT_EQ(db.busyWalShards(), 0u);
+    EXPECT_TRUE(t.rollback().isOk());
+
+    // commit() of a transaction the engine killed reports why.
+    Txn t2 = db.beginTxn();
     EXPECT_THROW(
         {
-            db.begin();
             db.executeSql("UPDATE T SET V = 2 WHERE ID = 0");
             // Refill the segment to force another mid-txn abort.
             for (int i = 1; i < 64; ++i)
                 db.executeSql("UPDATE T SET V = 2 WHERE ID = " +
                               std::to_string(i));
-            db.commit();
         },
         FatalError);
+    EXPECT_EQ(db.busyWalShards(), 0u);
+    EXPECT_EQ(t2.commit().code(), StatusCode::kWalFull);
 
     // Every update the failed transactions made was undone.
     ResultSet rs = db.executeSql("SELECT * FROM T");
@@ -297,9 +301,9 @@ TEST(WalRecoveryTest, LogFullRollsBackRecoverably)
     // The database stays fully usable.
     db.executeSql("INSERT INTO T (ID, V) VALUES (1000, 7)");
     EXPECT_EQ(db.rowCount("T"), 65u);
-    db.begin();
+    Txn t3 = db.beginTxn();
     db.executeSql("UPDATE T SET V = 3 WHERE ID = 0");
-    db.commit();
+    EXPECT_TRUE(t3.commit().isOk());
     rs = db.executeSql("SELECT V FROM T WHERE ID = 0");
     EXPECT_EQ(rs.rows[0][0].i, 3);
 }
@@ -385,7 +389,7 @@ TEST_F(DatabaseTest, UncommittedDeleteKeepsPkReserved)
 {
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
-    db_->begin();
+    Txn t = db_->beginTxn();
     EXPECT_TRUE(db_->deleteRecord("PERSON", 1));
     DbRecord out;
     EXPECT_FALSE(db_->fetchRecord("PERSON", 1, &out));
@@ -400,7 +404,7 @@ TEST_F(DatabaseTest, UncommittedDeleteKeepsPkReserved)
     });
     intruder.join();
 
-    db_->rollback();
+    EXPECT_TRUE(t.rollback().isOk());
     ASSERT_TRUE(db_->fetchRecord("PERSON", 1, &out));
     EXPECT_EQ(out.values[1].s, "Ann");
     EXPECT_EQ(db_->rowCount("PERSON"), 1u);
@@ -411,13 +415,13 @@ TEST_F(DatabaseTest, DeleteThenReinsertSamePkInOneTransaction)
     db_->executeSql(
         "INSERT INTO PERSON (ID, NAME, AGE) VALUES (1, 'Ann', 30)");
 
-    db_->begin();
+    Txn t = db_->beginTxn();
     EXPECT_TRUE(db_->deleteRecord("PERSON", 1));
     DbRecord rec;
     rec.values = {DbValue::ofI64(1), DbValue::ofStr("Ann2"),
                   DbValue::ofI64(31)};
     db_->persistRecord("PERSON", rec);
-    db_->commit();
+    EXPECT_TRUE(t.commit().isOk());
 
     DbRecord out;
     ASSERT_TRUE(db_->fetchRecord("PERSON", 1, &out));
@@ -425,11 +429,11 @@ TEST_F(DatabaseTest, DeleteThenReinsertSamePkInOneTransaction)
     EXPECT_EQ(db_->rowCount("PERSON"), 1u);
 
     // The rolled-back variant restores the original row.
-    db_->begin();
+    Txn r = db_->beginTxn();
     EXPECT_TRUE(db_->deleteRecord("PERSON", 1));
     rec.values[1] = DbValue::ofStr("Ann3");
     db_->persistRecord("PERSON", rec);
-    db_->rollback();
+    EXPECT_TRUE(r.rollback().isOk());
     ASSERT_TRUE(db_->fetchRecord("PERSON", 1, &out));
     EXPECT_EQ(out.values[1].s, "Ann2");
     EXPECT_EQ(db_->rowCount("PERSON"), 1u);
@@ -461,7 +465,8 @@ TEST(SamePkContentionTest, ConcurrentWritersOnOneKeyStayConsistent)
                 std::this_thread::yield();
             for (int i = 0; i < kIters; ++i) {
                 try {
-                    db.begin();
+                    Txn txn = db.beginTxn();
+                    Status s;
                     if ((t + i) % 3 == 0) {
                         // delete + re-insert the hot key
                         if (db.deleteRecord("T", 7)) {
@@ -470,28 +475,29 @@ TEST(SamePkContentionTest, ConcurrentWritersOnOneKeyStayConsistent)
                                           DbValue::ofI64(t * 1000 + i)};
                             db.persistRecord("T", rec);
                         }
-                        db.commit();
+                        s = txn.commit();
                     } else if ((t + i) % 3 == 1) {
                         DbRecord rec;
                         rec.values = {DbValue::ofI64(7),
                                       DbValue::ofI64(t * 1000 + i)};
                         rec.dirtyMask = 1ull << 1;
                         db.persistRecord("T", rec);
-                        db.commit();
+                        s = txn.commit();
                     } else {
                         DbRecord rec;
                         rec.values = {DbValue::ofI64(7),
                                       DbValue::ofI64(-1)};
                         rec.dirtyMask = 1ull << 1;
                         db.persistRecord("T", rec);
-                        db.rollback();
+                        s = txn.rollback();
                     }
+                    if (!s.isOk())
+                        failures.fetch_add(1);
                 } catch (const FatalError &) {
                     // A racing delete may briefly reserve the pk;
                     // the transaction was rolled back for us or the
-                    // statement refused — both leave the db intact.
-                    if (db.inTransaction())
-                        db.rollback();
+                    // statement refused (the unwound handle rolled it
+                    // back) — both leave the db intact.
                     failures.fetch_add(1);
                 }
             }
@@ -532,14 +538,14 @@ TEST(GroupCommitTest, ConcurrentCommittersShareOneDrain)
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&, t]() {
-            db.begin();
+            Txn txn = db.beginTxn();
             DbRecord rec;
             rec.values = {DbValue::ofI64(t), DbValue::ofI64(100 + t)};
             db.persistRecord("T", rec);
             staged.fetch_add(1);
             while (!go.load(std::memory_order_acquire))
                 std::this_thread::yield();
-            db.commit();
+            EXPECT_TRUE(txn.commit().isOk());
         });
     }
     while (staged.load() != kThreads)
@@ -586,11 +592,11 @@ TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
     CommitCoordinator::Stats before = db.commitCoordinator().stats();
     constexpr int kSeq = 8;
     for (int i = 0; i < kSeq; ++i) {
-        db.begin();
+        Txn txn = db.beginTxn();
         DbRecord rec;
         rec.values = {DbValue::ofI64(i), DbValue::ofI64(i)};
         db.persistRecord("T", rec);
-        db.commit();
+        EXPECT_TRUE(txn.commit().isOk());
     }
     CommitCoordinator::Stats mid = db.commitCoordinator().stats();
     EXPECT_EQ(mid.txns - before.txns, static_cast<std::uint64_t>(kSeq));
@@ -609,14 +615,14 @@ TEST(GroupCommitTest, AutoWindowDegeneratesToEagerWhenUncontended)
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&, t]() {
-            db.begin();
+            Txn txn = db.beginTxn();
             DbRecord rec;
             rec.values = {DbValue::ofI64(100 + t), DbValue::ofI64(t)};
             db.persistRecord("T", rec);
             staged.fetch_add(1);
             while (!go.load(std::memory_order_acquire))
                 std::this_thread::yield();
-            db.commit();
+            EXPECT_TRUE(txn.commit().isOk());
         });
     }
     while (staged.load() != kThreads)
@@ -818,22 +824,23 @@ TEST_F(ShardedDbTest, CrossShardBracketCommitsAndRollsBack)
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 0));
 
-    database.begin();
-    EXPECT_TRUE(database.inTransaction());
+    Txn t = database.beginTxn();
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 1));
-    database.commit();
-    EXPECT_FALSE(database.inTransaction());
+    // The open bracket holds one WAL shard on every member it wrote.
+    EXPECT_GT(database.busyWalShards(), 1u);
+    EXPECT_TRUE(t.commit().isOk());
+    EXPECT_EQ(database.busyWalShards(), 0u);
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
         EXPECT_EQ(out.values[1].i, 1);
     }
 
-    database.begin();
+    Txn r = database.beginTxn();
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 2));
-    database.rollback();
+    EXPECT_TRUE(r.rollback().isOk());
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
@@ -851,26 +858,41 @@ TEST_F(ShardedDbTest, WalFullAbortsTheWholeBracket)
     for (std::int64_t id = 0; id < 400; ++id)
         database.persistRecord("T", row(id, 7));
 
-    database.begin();
-    bool overflowed = false;
-    try {
-        for (std::int64_t id = 0; id < 400; ++id)
-            database.persistRecord("T", row(id, 8));
-    } catch (const WalFullError &) {
-        overflowed = true;
-    }
-    ASSERT_TRUE(overflowed) << "undo segment never filled";
+    // Overflow a cross-shard bracket; true when the WAL filled.
+    auto overflow = [&]() {
+        try {
+            for (std::int64_t id = 0; id < 400; ++id)
+                database.persistRecord("T", row(id, 8));
+        } catch (const WalFullError &) {
+            return true;
+        }
+        return false;
+    };
+    auto expectUntouched = [&]() {
+        for (std::int64_t id = 0; id < 400; ++id) {
+            DbRecord out;
+            ASSERT_TRUE(database.fetchRecord("T", id, &out));
+            EXPECT_EQ(out.values[1].i, 7) << "leak on id " << id;
+        }
+    };
+
     // The whole cross-shard bracket aborted: both members rolled
-    // back, no half-applied shard survives, and the database keeps
-    // serving new work. The caller's rollback() after catching the
-    // error is a graceful no-op (Database's aborted-flag contract).
-    EXPECT_FALSE(database.inTransaction());
-    database.rollback();
-    for (std::int64_t id = 0; id < 400; ++id) {
-        DbRecord out;
-        ASSERT_TRUE(database.fetchRecord("T", id, &out));
-        EXPECT_EQ(out.values[1].i, 7) << "leak on id " << id;
-    }
+    // back and released their WAL shards, no half-applied shard
+    // survives, and the database keeps serving new work. The
+    // caller's rollback() after catching the error is a graceful
+    // no-op (Database's aborted-flag contract) ...
+    Txn t = database.beginTxn();
+    ASSERT_TRUE(overflow()) << "undo segment never filled";
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_TRUE(t.rollback().isOk());
+    expectUntouched();
+
+    // ... and its commit() reports why.
+    Txn t2 = database.beginTxn();
+    ASSERT_TRUE(overflow()) << "undo segment never filled";
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(t2.commit().code(), StatusCode::kWalFull);
+    expectUntouched();
     database.persistRecord("T", row(3, 9));
     DbRecord out;
     ASSERT_TRUE(database.fetchRecord("T", 3, &out));
@@ -895,9 +917,11 @@ TEST_F(ShardedDbTest, MemberCrashRecoveryIsShardLocal)
     // must be closed across a crash — the member's own engine rolls
     // its open transaction back on reopen).
     std::int64_t victim = shard0_ids[0];
-    database.shard(0).begin();
-    database.shard(0).persistRecord("T", row(victim, -5));
-    database.crashShard(0, CrashMode::kDiscardUnflushed, 42);
+    {
+        Txn member_txn = database.shard(0).beginTxn();
+        database.shard(0).persistRecord("T", row(victim, -5));
+        database.crashShard(0, CrashMode::kDiscardUnflushed, 42);
+    }
 
     // Member 0 recovered from its own WAL: the in-flight update
     // rolled back, committed rows survive; member 1 never blinked.
@@ -964,12 +988,12 @@ class TxnApiTest : public ::testing::Test
 TEST_F(TxnApiTest, HandleCommitRollbackAndMisuse)
 {
     Txn t = db_->beginTxn();
-    EXPECT_TRUE(t.active());
+    EXPECT_EQ(db_->busyWalShards(), 1u); // open: holds its WAL shard
     EXPECT_EQ(t.snapshot(), kNoSnapshot);
     put(1, 5);
     Status s = t.commit();
     EXPECT_TRUE(s.isOk()) << s.message();
-    EXPECT_FALSE(t.active());
+    EXPECT_EQ(db_->busyWalShards(), 0u);
     EXPECT_EQ(get(1), 5);
     // A finished handle reports misuse, never fatals.
     EXPECT_EQ(t.commit().code(), StatusCode::kMisuse);
@@ -979,7 +1003,7 @@ TEST_F(TxnApiTest, HandleCommitRollbackAndMisuse)
     Txn r = db_->beginTxn();
     put(1, 9);
     EXPECT_TRUE(r.rollback().isOk());
-    EXPECT_FALSE(r.active());
+    EXPECT_EQ(db_->busyWalShards(), 0u);
     EXPECT_EQ(get(1), 5);
 }
 
@@ -996,8 +1020,7 @@ TEST_F(TxnApiTest, DestructorAndMoveSemantics)
     Txn a = db_->beginTxn();
     put(3, 4);
     Txn b = std::move(a);
-    EXPECT_FALSE(a.active());
-    EXPECT_TRUE(b.active());
+    EXPECT_EQ(a.commit().code(), StatusCode::kMisuse);
     EXPECT_TRUE(b.commit().isOk());
     EXPECT_EQ(get(3), 4);
 }
@@ -1014,11 +1037,11 @@ TEST_F(TxnApiTest, ForeignThreadCommitIsMisuse)
     other.join();
     EXPECT_EQ(foreign.code(), StatusCode::kMisuse);
 
-    // The refused commit consumed the handle but not the
-    // transaction — it is still open on this thread and rolls back
-    // normally, so the staged write never lands.
-    EXPECT_TRUE(db_->inTransaction());
-    db_->rollback();
+    // The refused commit left the handle and its transaction open on
+    // this thread; it rolls back normally, so the staged write never
+    // lands.
+    EXPECT_EQ(db_->busyWalShards(), 1u);
+    EXPECT_TRUE(t.rollback().isOk());
     EXPECT_EQ(get(4), 0);
 }
 
@@ -1054,7 +1077,7 @@ TEST_F(TxnApiTest, CommitReportsWalFullAsStatus)
     ASSERT_TRUE(overflowed) << "undo segment never filled";
     // ... but the handle reports the rollback as a Status.
     EXPECT_EQ(t.commit().code(), StatusCode::kWalFull);
-    EXPECT_FALSE(t.active());
+    EXPECT_EQ(small.busyWalShards(), 0u);
     for (std::int64_t id = 0; id < 400; ++id) {
         DbRecord out;
         ASSERT_TRUE(small.fetchRecord("KV", id, &out));
@@ -1072,10 +1095,10 @@ TEST_F(TxnApiTest, SnapshotReaderSeesBeginTimeVersions)
     // A writer overwrites every row in one transaction and commits
     // mid-scan.
     std::thread w([&]() {
-        db_->begin();
+        Txn t = db_->beginTxn();
         for (std::int64_t id = 0; id < 16; ++id)
             put(id, 1);
-        db_->commit();
+        EXPECT_TRUE(t.commit().isOk());
     });
     w.join();
 
@@ -1114,7 +1137,7 @@ TEST_F(TxnApiTest, FirstCommitterWinsReportsConflict)
     }
     ASSERT_TRUE(aborted) << "stale write was admitted";
     EXPECT_EQ(r.commit().code(), StatusCode::kConflict);
-    EXPECT_FALSE(r.active());
+    EXPECT_EQ(db_->busyWalShards(), 0u);
     EXPECT_EQ(get(5), 7) << "first committer must stand";
 }
 
@@ -1170,11 +1193,11 @@ TEST_F(ShardedDbTest, TxnHandleDrivesCrossShardBracket)
         database.persistRecord("T", row(id, 0));
 
     Txn t = database.beginTxn();
-    EXPECT_TRUE(t.active());
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, 1));
+    EXPECT_GT(database.busyWalShards(), 1u);
     EXPECT_TRUE(t.commit().isOk());
-    EXPECT_FALSE(t.active());
+    EXPECT_EQ(database.busyWalShards(), 0u);
     EXPECT_EQ(t.commit().code(), StatusCode::kMisuse);
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
@@ -1212,10 +1235,10 @@ TEST_F(ShardedDbTest, SnapshotBracketSeesCrossShardCommitAtomically)
 
     // A cross-shard 2PC commit lands mid-scan.
     std::thread w([&]() {
-        database.begin();
+        Txn t = database.beginTxn();
         for (std::int64_t id = 0; id < 32; ++id)
             database.persistRecord("T", row(id, 1));
-        database.commit();
+        EXPECT_TRUE(t.commit().isOk());
     });
     w.join();
 
@@ -1309,10 +1332,10 @@ TEST_F(ShardedDbTest, GrowAndShrinkRepartitionRows)
     }
 
     // Writes and brackets keep flowing on the grown membership.
-    database.begin();
+    Txn t = database.beginTxn();
     for (std::int64_t id = 0; id < 32; ++id)
         database.persistRecord("T", row(id, -id));
-    database.commit();
+    EXPECT_TRUE(t.commit().isOk());
     for (std::int64_t id = 0; id < 32; ++id) {
         DbRecord out;
         ASSERT_TRUE(database.fetchRecord("T", id, &out));

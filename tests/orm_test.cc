@@ -96,6 +96,39 @@ TEST_P(OrmProviderTest, BasicCrudLifecycle)
     em.commit();
 }
 
+TEST_P(OrmProviderTest, DestroyingAnOpenEntityManagerRollsBack)
+{
+    OrmRig rig(makeProvider(), JpabModel::kBasic);
+    EntityManager &em = *rig.em;
+    em.begin();
+    Entity *p = em.newEntity("PERSON");
+    p->set("ID", db::DbValue::ofI64(1));
+    p->set("FIRSTNAME", db::DbValue::ofStr("Mingyu"));
+    p->set("LASTNAME", db::DbValue::ofStr("Wu"));
+    p->set("PHONE", db::DbValue::ofStr("555"));
+    p->set("EMAIL", db::DbValue::ofStr("m@sjtu"));
+    em.persist(p);
+    em.commit();
+    em.clear();
+
+    {
+        EntityManager doomed(rig.database.get(), rig.provider.get(),
+                             &rig.enhancer);
+        doomed.begin();
+        // A statement on this thread joins the em's open transaction.
+        rig.database->executeSql(
+            "UPDATE PERSON SET PHONE = '999' WHERE ID = 1");
+    }
+    // The destroyed em rolled its transaction back and released it,
+    // so this thread can open the next one.
+    EXPECT_EQ(rig.database->busyWalShards(), 0u);
+    em.begin();
+    Entity *q = em.find("PERSON", 1);
+    ASSERT_NE(q, nullptr);
+    EXPECT_EQ(q->get("PHONE").s, "555");
+    em.commit();
+}
+
 TEST_P(OrmProviderTest, InheritanceMapsToOneFlatTable)
 {
     OrmRig rig(makeProvider(), JpabModel::kExt);
