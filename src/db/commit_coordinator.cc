@@ -61,6 +61,15 @@ CommitCoordinator::noteArrival()
                      std::memory_order_relaxed);
 }
 
+void
+CommitCoordinator::noteDrain(std::uint64_t ns)
+{
+    ns = std::max<std::uint64_t>(ns, 1);
+    std::uint64_t e = drainNs_.load(std::memory_order_relaxed);
+    drainNs_.store(e == 0 ? ns : (e * 7 + ns) / 8,
+                   std::memory_order_relaxed);
+}
+
 std::uint64_t
 CommitCoordinator::effectiveWindowNs()
 {
@@ -77,11 +86,28 @@ CommitCoordinator::effectiveWindowNs()
     std::uint64_t gap = ewmaGapNs_.load(std::memory_order_relaxed);
     if (gap == 0)
         return 0;
+    // Never wait longer than one drain: a straggler arriving later
+    // rides the next batch, which starts once this one is durable.
     std::uint64_t win = std::min(
-        gap * std::min<std::uint64_t>(infl, kMaxBatch),
-        kAutoMaxWindowNs);
+        {gap * std::min<std::uint64_t>(infl, kMaxBatch),
+         kAutoMaxWindowNs, drainNs_.load(std::memory_order_relaxed)});
     statAutoWindow_.store(win, std::memory_order_relaxed);
     return win;
+}
+
+void
+CommitCoordinator::stageFirst(const Waiter &w)
+{
+    switch (w.kind) {
+    case EntryKind::kCommit:
+        w.shard->stageCommit();
+        break;
+    case EntryKind::kPrepare:
+        w.shard->stagePrepare(w.txnId);
+        break;
+    case EntryKind::kFinish:
+        break;
+    }
 }
 
 void
@@ -94,8 +120,13 @@ CommitCoordinator::drainBatch(const std::vector<Waiter *> &batch)
     // strictly better there.
     static const bool pool_pays =
         std::thread::hardware_concurrency() >= kDrainWorkers;
-    if (pool_pays && batch.size() >= kParallelDrainMin) {
-        // Wide burst: fan the image staging out — each worker stages
+    bool first = false, second = false;
+    for (const Waiter *w : batch) {
+        first |= w->kind != EntryKind::kFinish;
+        second |= w->kind != EntryKind::kPrepare;
+    }
+    if (first && pool_pays && batch.size() >= kParallelDrainMin) {
+        // Wide burst: fan the first stage out — each worker stages
         // its slice of shards and fences them, in parallel. Pool
         // bodies must not throw; a simulated crash is re-raised here.
         unsigned n = std::min<unsigned>(
@@ -104,7 +135,7 @@ CommitCoordinator::drainBatch(const std::vector<Waiter *> &batch)
         pool_.run(n, [&](unsigned w) {
             try {
                 for (std::size_t i = w; i < batch.size(); i += n)
-                    batch[i]->shard->stageCommit();
+                    stageFirst(*batch[i]);
                 device_->fence();
             } catch (...) {
                 errs[w] = std::current_exception();
@@ -113,21 +144,25 @@ CommitCoordinator::drainBatch(const std::vector<Waiter *> &batch)
         for (const std::exception_ptr &e : errs)
             if (e)
                 std::rethrow_exception(e);
-    } else {
-        for (Waiter *w : batch)
-            w->shard->stageCommit();
+    } else if (first) {
+        for (const Waiter *w : batch)
+            stageFirst(*w);
         device_->fence();
     }
-    for (Waiter *w : batch)
-        w->shard->stageRetire();
-    device_->fence();
+    // Commit records and 2PC finishes: one header line per shard.
+    if (second) {
+        for (const Waiter *w : batch)
+            if (w->kind != EntryKind::kPrepare)
+                w->shard->stageRetire();
+        device_->fence();
+    }
 }
 
 void
 CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
 {
     leaderActive_ = true;
-    std::uint64_t window = effectiveWindowNs();
+    std::uint64_t window = pending2pc_ != 0 ? 0 : effectiveWindowNs();
     if (window > 0) {
         leaderWaiting_.store(true, std::memory_order_release);
         auto now = std::chrono::steady_clock::now();
@@ -160,7 +195,9 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
                     target = kMaxBatch;
                     break;
                 }
-            if (pending_.size() >= target)
+            // A 2PC entry never waits: its chain holds row locks and
+            // WAL tokens on other members too.
+            if (pending_.size() >= target || pending2pc_ != 0)
                 break;
             if (pending_.size() != last_size) {
                 last_size = pending_.size();
@@ -184,6 +221,7 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
 
     std::vector<Waiter *> batch;
     batch.swap(pending_);
+    pending2pc_ = 0;
     if (batch.empty()) {
         leaderActive_ = false;
         cv_.notify_all();
@@ -193,22 +231,23 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
 
     std::exception_ptr err;
     try {
-        if (batch.size() == 1) {
-            // Alone after the window: the eager path, on this thread
-            // — identical to a coordinator-less commit.
-            batch[0]->shard->commitEager();
-        } else {
-            drainBatch(batch);
-        }
+        std::uint64_t t0 = steadyNowNs();
+        drainBatch(batch);
+        noteDrain(steadyNowNs() - t0);
     } catch (...) {
         err = std::current_exception();
     }
 
+    std::uint64_t txns = 0;
+    for (const Waiter *w : batch)
+        txns += w->kind != EntryKind::kFinish ? 1 : 0;
     std::vector<Waiter *> asyncs;
     lock.lock();
-    statBatches_.fetch_add(1, std::memory_order_relaxed);
-    statTxns_.fetch_add(batch.size(), std::memory_order_relaxed);
-    bumpMaxBatch(batch.size());
+    if (txns != 0) {
+        statBatches_.fetch_add(1, std::memory_order_relaxed);
+        statTxns_.fetch_add(txns, std::memory_order_relaxed);
+        bumpMaxBatch(txns);
+    }
     for (Waiter *w : batch) {
         if (w->asyncDone) {
             asyncs.push_back(w);
@@ -222,7 +261,8 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
     lock.unlock();
 
     // Callbacks run off the coordinator mutex so they may re-enter
-    // (begin the next pipelined transaction, even commit it).
+    // (begin the next pipelined transaction, even commit it, or queue
+    // the next step of a 2PC chain here or on another member).
     for (Waiter *w : asyncs) {
         w->asyncDone(err);
         delete w;
@@ -236,7 +276,9 @@ CommitCoordinator::commit(WalShard &shard)
     noteArrival();
     std::uint64_t window = effectiveWindowNs();
     if (window == 0) {
+        std::uint64_t t0 = steadyNowNs();
         shard.commitEager();
+        noteDrain(steadyNowNs() - t0);
         statBatches_.fetch_add(1, std::memory_order_relaxed);
         statTxns_.fetch_add(1, std::memory_order_relaxed);
         bumpMaxBatch(1);
@@ -268,8 +310,30 @@ void
 CommitCoordinator::commitAsync(WalShard &shard, DoneFn done)
 {
     noteArrival();
+    enqueue(EntryKind::kCommit, shard, 0, std::move(done));
+}
+
+void
+CommitCoordinator::prepareAsync(WalShard &shard, Word txn_id,
+                                DoneFn done)
+{
+    enqueue(EntryKind::kPrepare, shard, txn_id, std::move(done));
+}
+
+void
+CommitCoordinator::finishAsync(WalShard &shard, DoneFn done)
+{
+    enqueue(EntryKind::kFinish, shard, 0, std::move(done));
+}
+
+void
+CommitCoordinator::enqueue(EntryKind kind, WalShard &shard, Word txn_id,
+                           DoneFn done)
+{
     Waiter *w = new Waiter;
+    w->kind = kind;
     w->shard = &shard;
+    w->txnId = txn_id;
     w->asyncDone = std::move(done);
 
     std::lock_guard<std::mutex> g(mu_);
@@ -277,6 +341,8 @@ CommitCoordinator::commitAsync(WalShard &shard, DoneFn done)
         drainerStarted_ = true;
         drainer_ = std::thread([this] { drainerLoop(); });
     }
+    if (kind != EntryKind::kCommit)
+        ++pending2pc_;
     pending_.push_back(w);
     cv_.notify_all();
 }
@@ -319,10 +385,12 @@ CommitCoordinator::resetAfterCrash()
         if (w->asyncDone)
             delete w; // session died with the power; no callback
     pending_.clear();
+    pending2pc_ = 0;
     leaderActive_ = false;
     inflight_.store(0, std::memory_order_relaxed);
     lastArrivalNs_.store(0, std::memory_order_relaxed);
     ewmaGapNs_.store(0, std::memory_order_relaxed);
+    drainNs_.store(0, std::memory_order_relaxed);
 }
 
 CommitCoordinator::Stats

@@ -11,41 +11,63 @@
  * one fence, every shard's commit record staged, one fence — so the
  * per-batch fence cost is constant in K.
  *
- * Small batches drain inline on the leader thread (two fences per
- * batch). Large batches fan the per-shard image staging out across
- * the persistent WorkerPool — each worker stages its slice of shards
- * and fences them in parallel — before the leader's single retire
- * fence, so the serial drain depth stays constant no matter how wide
- * a burst commits. The fan-out is used only on hosts with enough
- * cores for the workers' fences to really overlap; otherwise every
- * batch drains inline (two fences total).
+ * A batch carries three kinds of entry, all sharing the same two
+ * fences:
  *
- * A batch of one falls back to the eager path on the caller's own
- * thread, so single-threaded behavior (and its crash sweep event
- * stream) is identical to a database without a coordinator.
+ *  - commit: a single-member transaction — its new images ride the
+ *    first fence, its commit record the second;
+ *  - prepare: a 2PC member's yes-vote — its new images and its
+ *    "prepared under txn id" mark ride the first fence;
+ *  - finish: a decided 2PC member's retire record rides the second
+ *    fence.
  *
- * Two entry points:
+ * A fence with nothing staged for it is skipped, so a batch of only
+ * prepares (or only finishes) costs one fence. Members of a
+ * cross-shard commit thereby prepare in parallel, each on its own
+ * device, batched with whatever else that member is committing (see
+ * ShardedDatabase for the chain that drives them).
+ *
+ * Small batches drain inline on the leader thread. Large batches fan
+ * the first stage out across the persistent WorkerPool — each worker
+ * stages its slice of shards and fences them in parallel — before
+ * the leader's single retire fence, so the serial drain depth stays
+ * constant no matter how wide a burst commits. The fan-out is used
+ * only on hosts with enough cores for the workers' fences to really
+ * overlap; otherwise every batch drains inline.
+ *
+ * Two entry points for commits:
  *
  *  - commit(): the classic blocking path — the caller parks until
- *    its commit record is durable (and may be elected leader).
- *  - commitAsync(): the network front door's path. The caller
- *    (an event-loop worker that must never block on a fence) parks
- *    only the *transaction* here and returns; a lazily spawned
- *    drainer thread acts as the standing leader for async entries
- *    and invokes the completion callback — off the coordinator
- *    mutex, on the drainer thread — once the batch is durable. Sync
- *    and async waiters share batches, so pipelined connections and
- *    in-process committers coalesce their fences. Even with a zero
- *    window the drainer drains whatever accumulated while the
- *    previous batch fenced, so async commits batch opportunistically
- *    in eager mode.
+ *    its commit record is durable (and may be elected leader). With
+ *    a zero window it commits eagerly on the caller's own thread, so
+ *    single-threaded behavior (and its crash sweep event stream) is
+ *    identical to a database without a coordinator.
+ *  - commitAsync() / prepareAsync() / finishAsync(): the caller
+ *    (an event-loop worker, or a 2PC continuation running on another
+ *    member's drainer) parks only the *entry* here and returns; a
+ *    lazily spawned drainer thread acts as the standing leader and
+ *    invokes the completion callback — off the coordinator mutex, on
+ *    the drainer thread — once the batch is durable. Sync and async
+ *    entries share batches. Even with a zero window the drainer
+ *    drains whatever accumulated while the previous batch fenced.
+ *
+ * Prepare and finish entries never hold a batch open: a 2PC chain
+ * holds row locks and WAL tokens on several members, so a leader
+ * drains as soon as one is pending.
  *
  * Window auto-tuning (ESPRESSO_DB_GROUP_COMMIT=auto): with
  * window_ns == kAutoWindow the effective window is derived from an
  * EWMA of commit arrival gaps, scaled by the in-flight transaction
- * count and clamped to kAutoMaxWindowNs. With at most one committer
- * in flight the effective window is zero — the eager path — so an
- * uncontended thread never waits for stragglers that cannot exist.
+ * count and clamped to kAutoMaxWindowNs — and to the coordinator's
+ * own measured drain time (an EWMA of its stage+fence cycle). Waiting
+ * longer than one drain cannot pay: stragglers arriving later simply
+ * ride the next batch, which starts as soon as this one is durable.
+ * The cap matters because the in-flight count includes transactions
+ * that can never join the batch (parked on the network, or inside
+ * 2PC). With at most one committer in flight, or before any drain
+ * has been measured, the effective window is zero — the eager path —
+ * so an uncontended thread never waits for stragglers that cannot
+ * exist. Fixed windows are used as configured.
  */
 
 #ifndef ESPRESSO_DB_COMMIT_COORDINATOR_HH
@@ -60,6 +82,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/common.hh"
 #include "util/worker_pool.hh"
 
 namespace espresso {
@@ -122,6 +145,19 @@ class CommitCoordinator
      * until then. */
     void commitAsync(WalShard &shard, DoneFn done);
 
+    /** @name 2PC member entries (never hold a batch open) */
+    /// @{
+    /** Queue @p shard's prepare: its new images and its prepared
+     * mark under @p txn_id ride the next batch's first fence; @p done
+     * fires once both are durable. */
+    void prepareAsync(WalShard &shard, Word txn_id, DoneFn done);
+
+    /** Queue @p shard's finish: the retire record of its prepared
+     * transaction rides the next batch's second fence; @p done fires
+     * once it is durable. */
+    void finishAsync(WalShard &shard, DoneFn done);
+    /// @}
+
     /** In-flight transaction accounting: a leader stops waiting as
      * soon as every in-flight transaction has joined its batch. */
     void txnBegan() { inflight_.fetch_add(1, std::memory_order_relaxed); }
@@ -145,7 +181,7 @@ class CommitCoordinator
 
     /** The window a leader would use right now: the configured
      * window, or the auto-derived one (0 — eager — when at most one
-     * transaction is in flight). */
+     * transaction is in flight or no drain was measured yet). */
     std::uint64_t effectiveWindowNs();
 
     /** Drop volatile batching state after a simulated power failure
@@ -156,9 +192,14 @@ class CommitCoordinator
 
     struct Stats
     {
-        std::uint64_t batches = 0; ///< drain cycles (incl. eager)
-        std::uint64_t txns = 0;    ///< transactions committed
-        std::uint64_t maxBatch = 0;
+        /** Drain cycles (incl. eager) that made a transaction
+         * durable; a cycle of only 2PC finishes retires transactions
+         * an earlier cycle already counted. */
+        std::uint64_t batches = 0;
+        /** Member transactions made durable: commit entries plus 2PC
+         * prepares. */
+        std::uint64_t txns = 0;
+        std::uint64_t maxBatch = 0; ///< most txns in one drain
         /** Leader windows that expired before every in-flight txn
          * joined — a high ratio means the window is too short or
          * in-flight txns are long. */
@@ -170,9 +211,18 @@ class CommitCoordinator
     Stats stats() const;
 
   private:
+    enum class EntryKind : std::uint8_t
+    {
+        kCommit,
+        kPrepare,
+        kFinish,
+    };
+
     struct Waiter
     {
+        EntryKind kind = EntryKind::kCommit;
         WalShard *shard = nullptr;
+        Word txnId = 0; ///< kPrepare: the 2PC transaction id
         bool done = false;
         std::exception_ptr err;
         /** Non-null for async entries (heap-owned; the leader that
@@ -183,6 +233,13 @@ class CommitCoordinator
     /** Feed the arrival-gap EWMA (auto window). */
     void noteArrival();
 
+    /** Feed the drain-time EWMA (auto window cap). */
+    void noteDrain(std::uint64_t ns);
+
+    /** Queue an async entry and wake the drainer. */
+    void enqueue(EntryKind kind, WalShard &shard, Word txn_id,
+                 DoneFn done);
+
     /** Take leadership, wait out the window, drain the batch and
      * deliver results. @p lock is held on entry and exit. */
     void leadBatch(std::unique_lock<std::mutex> &lock);
@@ -192,6 +249,9 @@ class CommitCoordinator
 
     /** Stage+fence the whole batch; runs on the drain thread. */
     void drainBatch(const std::vector<Waiter *> &batch);
+
+    /** Stage one entry's first-fence part (images, prepared mark). */
+    static void stageFirst(const Waiter &w);
 
     /** Racy-max update for the maxBatch gauge. */
     void bumpMaxBatch(std::uint64_t n);
@@ -205,10 +265,13 @@ class CommitCoordinator
      * input. */
     std::atomic<std::uint64_t> lastArrivalNs_{0};
     std::atomic<std::uint64_t> ewmaGapNs_{0};
+    std::atomic<std::uint64_t> drainNs_{0};
 
     std::mutex mu_;
     std::condition_variable cv_;
     std::vector<Waiter *> pending_;
+    /** Prepare/finish entries in pending_: drain without a window. */
+    unsigned pending2pc_ = 0;
     bool leaderActive_ = false;
     bool stop_ = false;
     /** True while a leader sits in its batch window, so txnEnded()

@@ -467,27 +467,36 @@ Database::commitDetachedAsync(std::uint64_t id,
         return;
     }
     ctx->explicitTx = false;
-    WalShard &shard = wal_->shard(ctx->shardId);
+    TxContext *raw = ctx.release();
+    commitTxAsync(*raw, [raw, done](Status s, std::exception_ptr) {
+        std::unique_ptr<TxContext> reclaim(raw);
+        done(s);
+    });
+}
+
+void
+Database::commitTxAsync(TxContext &ctx, StepFn done)
+{
+    WalShard &shard = wal_->shard(ctx.shardId);
     if (shard.entryCount() == 0) {
         // Nothing written: no fences, no batch — complete inline.
         shard.retireEmpty();
-        finishCommitLocal(*ctx);
-        done(Status::ok());
+        finishCommitLocal(ctx);
+        done(Status::ok(), nullptr);
         return;
     }
-    TxContext *raw = ctx.release();
     coordinator_->commitAsync(
-        shard, [this, raw, done](std::exception_ptr err) {
-            std::unique_ptr<TxContext> reclaim(raw);
+        shard, [this, &ctx, done](std::exception_ptr err) {
             if (err) {
                 // The drain died of a simulated power failure; the
                 // session's durability is whatever recovery decides.
                 done(Status::make(StatusCode::kAborted,
-                                  "db: commit drain failed"));
+                                  "db: commit drain failed"),
+                     err);
                 return;
             }
-            finishCommitLocal(*reclaim);
-            done(Status::ok());
+            finishCommitLocal(ctx);
+            done(Status::ok(), nullptr);
         });
 }
 
@@ -509,39 +518,41 @@ Database::busyWalShards() const
 }
 
 bool
-Database::prepareTx2pc(Word txn_id)
+Database::loggedAny(const TxContext &ctx) const
 {
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx)
-        fatal("db: prepare without an open transaction");
-    WalShard &shard = wal_->shard(ctx.shardId);
-    if (shard.entryCount() == 0)
-        return false; // nothing logged: yes-vote, no prepared state
-    shard.prepare(txn_id);
-    return true;
+    return wal_->shard(ctx.shardId).entryCount() != 0;
 }
 
 void
-Database::publishCommitTsLocked(Word ts)
+Database::prepareTxAsync(TxContext &ctx, Word txn_id,
+                         CommitCoordinator::DoneFn done)
 {
-    TxContext &ctx = txContext();
+    coordinator_->prepareAsync(wal_->shard(ctx.shardId), txn_id,
+                               std::move(done));
+}
+
+void
+Database::publishCommitTsLocked(TxContext &ctx, Word ts)
+{
     ctrls_[ctx.shardId].commitTs.store(ts, std::memory_order_release);
 }
 
 void
-Database::finishPreparedTx(Word ts, bool prepared)
+Database::releaseCommittedRows(TxContext &ctx, Word ts)
 {
-    TxContext &ctx = txContext();
-    if (!ctx.explicitTx)
-        fatal("db: finishPrepared without an open transaction");
-    ctx.explicitTx = false;
-    WalShard &shard = wal_->shard(ctx.shardId);
-    if (prepared)
-        shard.finishPrepared();
-    else
-        shard.retireEmpty();
     rows_->finishCommit(ctx.rowTx, ctx.rowTx.saveImages ? ts : 0);
-    endTxCommon(ctx);
+}
+
+void
+Database::finishTxAsync(TxContext &ctx, CommitCoordinator::DoneFn done)
+{
+    coordinator_->finishAsync(wal_->shard(ctx.shardId), std::move(done));
+}
+
+void
+Database::retireEmptyTx(TxContext &ctx)
+{
+    wal_->shard(ctx.shardId).retireEmpty();
 }
 
 unsigned

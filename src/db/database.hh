@@ -348,7 +348,7 @@ class Database
     void finishCommitLocal(TxContext &ctx);
 
     /** Shared tail of commit/rollback: writer exit, snapshot end,
-     * shard release. */
+     * shard release (a 2PC member's, once its finish is durable). */
     void endTxCommon(TxContext &ctx);
 
     /** Finish the calling thread's transaction for the Txn handle
@@ -359,21 +359,42 @@ class Database
      * gone and rollback is crash() recovery's job. */
     bool powerLost();
 
-    /** @name 2PC member protocol (driven by ShardedDatabase) */
+    /** Completion of an asynchronous commit step: the Status, or
+     * the simulated power failure that killed its drain. */
+    using StepFn = std::function<void(Status, std::exception_ptr)>;
+
+    /** Commit @p ctx's transaction (already marked finished) through
+     * the group-commit drainer; @p done fires on the drainer, or
+     * inline when nothing was logged. The caller keeps @p ctx alive
+     * until then. */
+    void commitTxAsync(TxContext &ctx, StepFn done);
+
+    /** @name 2PC member steps on an explicit context (driven by
+     * ShardedDatabase's commit chain, from any thread) */
     /// @{
-    /** Prepare the calling thread's open transaction under
-     * @p txn_id; false when it logged nothing (vote commit with no
-     * prepared state — finish retires it empty). */
-    bool prepareTx2pc(Word txn_id);
+    /** True when @p ctx's transaction logged anything: only then
+     * does it have images to prepare and a segment to finish. */
+    bool loggedAny(const TxContext &ctx) const;
 
-    /** Publish @p ts as the open transaction's commit timestamp.
-     * Caller holds the shared SnapshotClock's mu. */
-    void publishCommitTsLocked(Word ts);
+    /** Queue @p ctx's prepare under @p txn_id into the next batch;
+     * @p done fires once images and prepared mark are durable. */
+    void prepareTxAsync(TxContext &ctx, Word txn_id,
+                        CommitCoordinator::DoneFn done);
 
-    /** Complete the member commit after the coordinator's durable
-     * decision: retire the prepared segment (or the empty bracket),
-     * stamp rows with @p ts, close out. */
-    void finishPreparedTx(Word ts, bool prepared);
+    /** Publish @p ts as @p ctx's commit timestamp. Caller holds the
+     * shared SnapshotClock's mu. */
+    void publishCommitTsLocked(TxContext &ctx, Word ts);
+
+    /** The commit point: stamp @p ctx's rows with @p ts and release
+     * its row locks. */
+    void releaseCommittedRows(TxContext &ctx, Word ts);
+
+    /** Queue the retire of @p ctx's prepared segment into the next
+     * batch (@p done fires once durable). */
+    void finishTxAsync(TxContext &ctx, CommitCoordinator::DoneFn done);
+
+    /** Retire a member that logged nothing (no fence). */
+    void retireEmptyTx(TxContext &ctx);
     /// @}
 
     /** Snapshot of the calling thread's open transaction (or

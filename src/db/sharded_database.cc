@@ -1,6 +1,8 @@
 #include "db/sharded_database.hh"
 
 #include <bit>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,6 +20,47 @@ namespace {
 std::atomic<std::uint64_t> g_shardedSerial{1};
 
 } // namespace
+
+/** One bracket's commit in flight: the bracket, its members'
+ * contexts, and the 2PC bookkeeping shared by the continuations that
+ * run on the members' drainers. */
+struct ShardedDatabase::CommitChain
+{
+    struct Member
+    {
+        unsigned idx = 0;
+        Database::TxContext *ctx = nullptr;
+        /** A detached bracket's member context (null: a thread's). */
+        std::unique_ptr<Database::TxContext> owned;
+        bool prepared = false; ///< logged anything: prepare + finish
+    };
+
+    TxState st;
+    std::vector<Member> members;
+    Word txnId = 0;
+    unsigned slot = kNoCoordSlot;
+    /** Steps of the current phase still in flight, plus one for the
+     * phase's starter (so the last step can't outrun the fan-out). */
+    std::atomic<unsigned> pending{0};
+    SpinLock errMu;
+    std::exception_ptr err; ///< first failure (guarded by errMu)
+    Database::StepFn done;
+
+    void
+    noteError(std::exception_ptr e)
+    {
+        SpinGuard g(errMu);
+        if (!err)
+            err = std::move(e);
+    }
+
+    bool
+    failed()
+    {
+        SpinGuard g(errMu);
+        return err != nullptr;
+    }
+};
 
 ShardedDatabase::ShardedDatabase(const ShardedDatabaseConfig &cfg,
                                  NvmConfig nvm_cfg)
@@ -155,36 +198,35 @@ ShardedDatabase::noteMemberAbort(TxState &st, StatusCode code)
     }
 }
 
-unsigned
-ShardedDatabase::claimCoordSlot()
+bool
+ShardedDatabase::claimCoordSlot(const ChainPtr &c)
 {
-    CrashInjector *inj = coordDev_->injector();
-    for (;;) {
-        std::uint64_t bits =
-            coordSlotBitmap_.load(std::memory_order_relaxed);
-        if (~bits != 0) {
-            unsigned slot =
-                static_cast<unsigned>(std::countr_one(bits));
-            if (coordSlotBitmap_.compare_exchange_weak(
-                    bits, bits | (1ull << slot),
-                    std::memory_order_acq_rel,
-                    std::memory_order_relaxed))
-                return slot;
-            continue;
-        }
-        // All 64 decision slots in flight; a slot holder may have
-        // "lost power" mid-protocol, so honor the injector here too.
-        if (inj != nullptr && inj->tripped())
-            throw SimulatedCrash();
-        std::this_thread::yield();
+    SpinGuard g(coordMu_);
+    if (~coordSlots_ != 0) {
+        unsigned slot = static_cast<unsigned>(std::countr_one(coordSlots_));
+        coordSlots_ |= 1ull << slot;
+        c->slot = slot;
+        return true;
     }
+    // Every decision slot is in flight. Only finishes free slots, and
+    // they run on the members' drainers — a drainer spinning here
+    // could starve the very finish it waits for — so park the chain.
+    parkedChains_.push_back(c);
+    return false;
 }
 
-void
+ShardedDatabase::ChainPtr
 ShardedDatabase::releaseCoordSlot(unsigned slot)
 {
-    coordSlotBitmap_.fetch_and(~(1ull << slot),
-                               std::memory_order_release);
+    SpinGuard g(coordMu_);
+    if (!parkedChains_.empty()) {
+        ChainPtr next = std::move(parkedChains_.front());
+        parkedChains_.pop_front();
+        next->slot = slot;
+        return next;
+    }
+    coordSlots_ &= ~(1ull << slot);
+    return nullptr;
 }
 
 ShardedDatabase::TxState &
@@ -249,58 +291,273 @@ ShardedDatabase::commitBracket(TxState &st)
         return s;
     }
 
-    // Cross-shard 2PC, ascending shard order throughout (so
-    // concurrent brackets over overlapping member sets never
-    // deadlock in the members' commit paths).
-    //
-    // Phase 1: every member stages its commit record and durably
-    // marks its undo segment prepared under one coordinator id.
-    Word txn_id;
-    {
+    // Cross-shard: the chain takes the bracket over from the thread's
+    // slot (and closes it); the member contexts stay in their thread
+    // slots, which this thread does not touch until the chain is done.
+    auto c = std::make_shared<CommitChain>();
+    c->st = st;
+    for (unsigned i : members) {
+        c->members.emplace_back();
+        c->members.back().idx = i;
+        c->members.back().ctx = &shards_[i]->txContext();
+        st.begun[i] = 0;
+    }
+    st.open = false;
+    st.snapshot = kNoSnapshot;
+    return commitAndWait(std::move(c));
+}
+
+ShardedDatabase::ChainPtr
+ShardedDatabase::takeDetachedChain(std::uint64_t id)
+{
+    SpinGuard g(detachedMu_);
+    auto it = detached_.find(id);
+    if (it == detached_.end() || it->second.bound)
+        return nullptr;
+    DetachedBracket &b = it->second;
+    auto c = std::make_shared<CommitChain>();
+    c->st = std::move(b.st);
+    for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
+        if (b.memberSessions[i] == 0)
+            continue;
+        std::unique_ptr<Database::TxContext> ctx =
+            shards_[i]->takeDetached(b.memberSessions[i]);
+        if (i >= c->st.begun.size() || !c->st.begun[i])
+            continue; // already finished by an engine abort: dispose
+        c->members.emplace_back();
+        c->members.back().idx = i;
+        c->members.back().ctx = ctx.get();
+        c->members.back().owned = std::move(ctx);
+    }
+    detached_.erase(it);
+    return c;
+}
+
+void
+ShardedDatabase::commitDetachedAsync(std::uint64_t id,
+                                     std::function<void(Status)> done)
+{
+    ChainPtr c = takeDetachedChain(id);
+    if (!c) {
+        done(Status::make(StatusCode::kMisuse,
+                          "sharded db: unknown or bound detached "
+                          "transaction"));
+        return;
+    }
+    c->done = [done = std::move(done)](Status s, std::exception_ptr) {
+        done(s);
+    };
+    startCommit(std::move(c));
+}
+
+Status
+ShardedDatabase::commitDetached(std::uint64_t id)
+{
+    ChainPtr c = takeDetachedChain(id);
+    if (!c)
+        return Status::make(StatusCode::kMisuse,
+                            "sharded db: unknown or bound detached "
+                            "transaction");
+    return commitAndWait(std::move(c));
+}
+
+Status
+ShardedDatabase::commitAndWait(ChainPtr c)
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    bool finished = false;
+    Status out;
+    std::exception_ptr err;
+    c->done = [&](Status s, std::exception_ptr e) {
+        std::lock_guard<std::mutex> g(mu);
+        out = std::move(s);
+        err = std::move(e);
+        finished = true;
+        cv.notify_one();
+    };
+    startCommit(std::move(c));
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return finished; });
+    if (err)
+        std::rethrow_exception(err);
+    return out;
+}
+
+void
+ShardedDatabase::startCommit(ChainPtr c)
+{
+    TxState &st = c->st;
+    if (!st.open) {
+        // Engine-aborted mid-statement: report why; no member left.
+        c->done(finishBracket(st, true), nullptr);
+        return;
+    }
+    for (CommitChain::Member &m : c->members)
+        m.ctx->explicitTx = false;
+    if (c->members.empty()) {
+        // Read-only: nothing to make durable, no fence, no hop.
+        closeBracket(st);
+        c->done(Status::ok(), nullptr);
+        return;
+    }
+    try {
+        if (c->members.size() == 1) {
+            CommitChain::Member &m = c->members.front();
+            shards_[m.idx]->commitTxAsync(
+                *m.ctx, [this, c](Status s, std::exception_ptr err) {
+                    closeBracket(c->st);
+                    c->done(std::move(s), std::move(err));
+                });
+            return;
+        }
         SpinGuard g(coordMu_);
-        txn_id = coordLog_.reserveIdBlock(1);
+        c->txnId = coordLog_.reserveIdBlock(1);
+    } catch (...) {
+        c->noteError(std::current_exception());
+        failChain(c);
+        return;
     }
-    std::vector<std::uint8_t> prepared(members.size(), 0);
+
+    // Phase 1: every member that logged anything prepares in its own
+    // next group-commit batch, in parallel with the others.
+    unsigned n = 0;
+    for (CommitChain::Member &m : c->members) {
+        m.prepared = shards_[m.idx]->loggedAny(*m.ctx);
+        n += m.prepared ? 1 : 0;
+    }
+    c->pending.store(n + 1, std::memory_order_relaxed);
+    for (CommitChain::Member &m : c->members)
+        if (m.prepared)
+            shards_[m.idx]->prepareTxAsync(
+                *m.ctx, c->txnId, [this, c](std::exception_ptr err) {
+                    onPrepared(c, std::move(err));
+                });
+    onPrepared(c, nullptr);
+}
+
+void
+ShardedDatabase::onPrepared(const ChainPtr &c, std::exception_ptr err)
+{
+    if (err)
+        c->noteError(std::move(err));
+    if (c->pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
+        return;
+    if (c->failed()) {
+        failChain(c);
+        return;
+    }
+    // Brackets whose members all logged nothing have nothing to
+    // decide: no slot, no decision record.
     bool any_prepared = false;
-    for (std::size_t k = 0; k < members.size(); ++k) {
-        prepared[k] =
-            shards_[members[k]]->prepareTx2pc(txn_id) ? 1 : 0;
-        any_prepared |= prepared[k] != 0;
+    for (const CommitChain::Member &m : c->members)
+        any_prepared |= m.prepared;
+    if (any_prepared && !claimCoordSlot(c))
+        return; // parked: a releasing chain resumes it
+    decide(c);
+}
+
+void
+ShardedDatabase::decide(const ChainPtr &c)
+{
+    unsigned n = 0;
+    try {
+        // Phase 2: one fenced decision record — the commit point. A
+        // crash before it rolls every prepared member back (presumed
+        // abort); after it, recovery rolls them all forward.
+        if (c->slot != kNoCoordSlot)
+            coordLog_.publish(c->slot, DecisionLog::kKindTxnCommit,
+                              c->txnId, 0, nullptr, 0);
+
+        // Visible to snapshots atomically across all members: one
+        // timestamp, published into every member's control block
+        // inside a single clock critical section. Then the row locks
+        // go — the decision can no longer roll back.
+        Word ts;
+        {
+            SpinGuard g(clock_.mu);
+            ts = ++clock_.clock;
+            for (CommitChain::Member &m : c->members)
+                shards_[m.idx]->publishCommitTsLocked(*m.ctx, ts);
+        }
+        for (CommitChain::Member &m : c->members) {
+            shards_[m.idx]->releaseCommittedRows(*m.ctx, ts);
+            if (m.prepared)
+                ++n;
+            else
+                shards_[m.idx]->retireEmptyTx(*m.ctx);
+        }
+    } catch (...) {
+        c->noteError(std::current_exception());
+        failChain(c);
+        return;
     }
 
-    // Phase 2: one fenced decision record — the commit point. A
-    // crash before it rolls every prepared member back (presumed
-    // abort); after it, recovery rolls them all forward. Brackets
-    // whose members all logged nothing have nothing to decide.
-    unsigned slot = kNoCoordSlot;
-    if (any_prepared) {
-        slot = claimCoordSlot();
-        coordLog_.publish(slot, DecisionLog::kKindTxnCommit, txn_id,
-                          0, nullptr, 0);
-    }
+    // Phase 3: every prepared member retires in its next batch.
+    c->pending.store(n + 1, std::memory_order_relaxed);
+    for (CommitChain::Member &m : c->members)
+        if (m.prepared)
+            shards_[m.idx]->finishTxAsync(
+                *m.ctx, [this, c](std::exception_ptr err) {
+                    onFinished(c, std::move(err));
+                });
+    onFinished(c, nullptr);
+}
 
-    // Make the commit visible to snapshots atomically across all
-    // members: one timestamp, published into every member's control
-    // block inside a single clock critical section.
-    Word ts;
+void
+ShardedDatabase::onFinished(const ChainPtr &c, std::exception_ptr err)
+{
+    if (err)
+        c->noteError(std::move(err));
+    if (c->pending.fetch_sub(1, std::memory_order_acq_rel) != 1)
+        return;
+    if (c->failed()) {
+        failChain(c);
+        return;
+    }
+    ChainPtr next;
+    if (c->slot != kNoCoordSlot) {
+        // Every finish is durable: the decision has done its job.
+        try {
+            coordLog_.clear(c->slot);
+        } catch (...) {
+            c->noteError(std::current_exception());
+            failChain(c);
+            return;
+        }
+        next = releaseCoordSlot(c->slot);
+        c->slot = kNoCoordSlot;
+    }
+    for (CommitChain::Member &m : c->members)
+        shards_[m.idx]->endTxCommon(*m.ctx);
+    closeBracket(c->st);
+    c->done(Status::ok(), nullptr);
+    if (next)
+        decide(next);
+}
+
+void
+ShardedDatabase::failChain(const ChainPtr &c)
+{
+    // Only a simulated power failure gets here: crash() recovery owns
+    // the members' segments, tokens and locks now. Hand the slot on so
+    // a parked chain learns of the failure too instead of waiting.
+    ChainPtr next;
+    if (c->slot != kNoCoordSlot) {
+        next = releaseCoordSlot(c->slot);
+        c->slot = kNoCoordSlot;
+    }
+    std::exception_ptr err;
     {
-        SpinGuard g(clock_.mu);
-        ts = ++clock_.clock;
-        for (unsigned i : members)
-            shards_[i]->publishCommitTsLocked(ts);
+        SpinGuard g(c->errMu);
+        err = c->err;
     }
-
-    for (std::size_t k = 0; k < members.size(); ++k) {
-        shards_[members[k]]->finishPreparedTx(ts, prepared[k] != 0);
-        st.begun[members[k]] = 0;
-    }
-
-    if (slot != kNoCoordSlot) {
-        coordLog_.clear(slot);
-        releaseCoordSlot(slot);
-    }
-    closeBracket(st);
-    return Status::ok();
+    closeBracket(c->st);
+    c->done(Status::make(StatusCode::kAborted,
+                         "sharded db: commit failed: power lost"),
+            err);
+    if (next)
+        decide(next);
 }
 
 Status
@@ -445,13 +702,13 @@ ShardedDatabase::unbindDetached(std::uint64_t id)
 }
 
 Status
-ShardedDatabase::finishDetached(std::uint64_t id, bool commit)
+ShardedDatabase::rollbackDetached(std::uint64_t id)
 {
     if (!bindDetached(id))
         return Status::make(StatusCode::kMisuse,
                             "sharded db: unknown or bound detached "
                             "transaction");
-    Status s = finishBracket(txState(), commit);
+    Status s = finishBracket(txState(), false);
 
     SpinGuard g(detachedMu_);
     auto it = detached_.find(id);
@@ -459,9 +716,9 @@ ShardedDatabase::finishDetached(std::uint64_t id, bool commit)
     for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
         if (b.memberSessions[i] == 0)
             continue;
-        // The member transaction is finished (commitBracket /
-        // abortBracket closed every begun member); park the spent
-        // context and dispose of the session entry.
+        // The member transaction is finished (abortBracket closed
+        // every begun member); park the spent context and dispose of
+        // the session entry.
         shards_[i]->unbindDetached(b.memberSessions[i]);
         (void)shards_[i]->rollbackDetached(b.memberSessions[i]);
     }
@@ -472,18 +729,6 @@ ShardedDatabase::finishDetached(std::uint64_t id, bool commit)
     slot = std::move(fresh);
     detached_.erase(it);
     return s;
-}
-
-Status
-ShardedDatabase::commitDetached(std::uint64_t id)
-{
-    return finishDetached(id, true);
-}
-
-Status
-ShardedDatabase::rollbackDetached(std::uint64_t id)
-{
-    return finishDetached(id, false);
 }
 
 std::size_t
@@ -898,7 +1143,9 @@ ShardedDatabase::crash(CrashMode mode, std::uint64_t seed)
     // Every in-doubt transaction is resolved; retire the decisions.
     for (const DecisionLog::Record &r : records)
         coordLog_.clear(r.slot);
-    coordSlotBitmap_.store(0, std::memory_order_release);
+    SpinGuard g(coordMu_);
+    coordSlots_ = 0;
+    parkedChains_.clear();
 }
 
 } // namespace db

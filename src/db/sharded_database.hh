@@ -14,24 +14,43 @@
  *
  * Transactions are per-thread, like Database's. A bracket opened
  * with beginTxn() may touch several shards: it lazily opens the
- * calling thread's transaction on each shard it first writes.
+ * calling thread's transaction on each shard it first writes. Its
+ * Txn::commit() runs the same commit chain as a detached bracket and
+ * waits for it (a single-member bracket commits on the calling
+ * thread).
  *
- * Cross-shard atomicity (PR 6) is two-phase commit. A bracket that
- * wrote N > 1 members commits by (1) preparing each member in
- * ascending shard order — the member durably marks its staged undo
- * segment "prepared" under a coordinator-issued transaction id —
- * then (2) publishing the commit decision as one fenced record in
- * the coordinator's DecisionLog (its own small NVM device), then
- * (3) retiring every prepared member. The decision record is the
- * commit point: crash() recovery reads the surviving decisions and
- * rolls a member's prepared segment forward iff its transaction id
- * has one, else back (presumed abort) — so a crash anywhere in the
- * protocol leaves all members committed or all rolled back. Single-
- * member brackets skip the coordinator entirely and keep the
- * one-fence eager/group-commit path. Multi-member prepares fence
- * eagerly, bypassing each member's group-commit batching (a 2PC
- * commit is already a multi-fence protocol; batching the prepares
- * would serialize unrelated brackets on each other's decisions).
+ * Cross-shard atomicity is two-phase commit, run as a continuation
+ * chain through the members' group-commit drainers so no thread
+ * blocks on it (see commitDetachedAsync):
+ *
+ *  1. prepare: each member that logged anything queues a prepare
+ *     entry in its own CommitCoordinator — its new images and its
+ *     undo segment's "prepared under txn id" mark ride that batch's
+ *     first fence — so members prepare in parallel, each on its own
+ *     device;
+ *  2. decision: the last prepare to complete publishes the commit
+ *     decision as one fenced record in the coordinator's DecisionLog
+ *     (its own small NVM device). That record is the commit point:
+ *     right after it, inside one clock critical section, the bracket
+ *     takes its commit timestamp and publishes it to every member;
+ *     then every member's rows are stamped and its row locks
+ *     released — before any member has retired its segment;
+ *  3. finish: each prepared member queues its retire record, which
+ *     rides its batch's second fence; the last finish clears the
+ *     decision slot, frees the members' WAL tokens and closes the
+ *     bracket.
+ *
+ * crash() recovery reads the surviving decisions and rolls a member's
+ * prepared segment forward iff its transaction id has one, else back
+ * (presumed abort) — so a crash anywhere in the protocol leaves all
+ * members committed or all rolled back. Early lock release is safe
+ * because a durable decision never rolls back: a later writer of a
+ * released row logs the committed image as its own undo. The decision
+ * is written only after every prepare fence, and its slot is cleared
+ * only after every finish is durable. When all 64 decision slots are
+ * in flight the chain parks until a finish frees one. Zero-member
+ * (read-only) and engine-aborted brackets finish inline; single-
+ * member brackets commit through that member's group-commit path.
  *
  * Isolation: members share one SnapshotClock, so a kSnapshot bracket
  * takes a single fabric-wide timestamp and the 2PC decision flips
@@ -75,6 +94,9 @@
 #define ESPRESSO_DB_SHARDED_DATABASE_HH
 
 #include <atomic>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -177,16 +199,16 @@ class ShardedDatabase
     /** @name Detached cross-shard brackets (wire front door)
      *
      * The sharded flavor of Database's detached sessions: a bracket
-     * that hops between server worker threads and commits on a
-     * committer-pool thread. Lifecycle: beginDetached ->
-     * {bindDetached ... record ops ... unbindDetached}* ->
-     * commitDetached / rollbackDetached. Detached brackets are
-     * nowait throughout — a member join takes a free WAL shard token
-     * or aborts the bracket kBusy, and row-lock waits are bounded —
-     * so an event-loop worker can never park behind another session.
-     * A parked bracket counts toward the bracket-drain fence, so
-     * grow()/shrink() waits for in-flight wire transactions (and
-     * beginDetached declines kBusy while a change is draining).
+     * that hops between server worker threads. Lifecycle:
+     * beginDetached -> {bindDetached ... record ops ... unbindDetached}*
+     * -> commitDetachedAsync / commitDetached / rollbackDetached.
+     * Detached brackets are nowait throughout — a member join takes a
+     * free WAL shard token or aborts the bracket kBusy, and row-lock
+     * waits are bounded — so an event-loop worker can never park
+     * behind another session. A parked bracket counts toward the
+     * bracket-drain fence, so grow()/shrink() waits for in-flight wire
+     * transactions (and beginDetached declines kBusy while a change is
+     * draining).
      */
     /// @{
     /** Open a parked bracket; kBusy (with *id_out == 0) while a
@@ -202,10 +224,20 @@ class ShardedDatabase
      * to the calling thread). */
     void unbindDetached(std::uint64_t id);
 
-    /** Finish a parked bracket from any thread. Reports
-     * kAborted/kWalFull/kDeadlock/kConflict/kBusy when the engine
-     * already killed the bracket mid-statement. */
+    /** Commit parked bracket @p id without blocking the calling
+     * thread (see the file comment for the chain). @p done fires
+     * inline for a read-only, engine-aborted (its abort code),
+     * unknown or bound (kMisuse) bracket; otherwise on a member's
+     * drainer once the commit is durable — kAborted when a simulated
+     * power failure killed it. */
+    void commitDetachedAsync(std::uint64_t id,
+                             std::function<void(Status)> done);
+
+    /** commitDetachedAsync plus a wait. */
     Status commitDetached(std::uint64_t id);
+
+    /** Roll a parked bracket back from any thread (an engine-killed
+     * one succeeds). */
     Status rollbackDetached(std::uint64_t id);
 
     /** Parked + bound bracket count (leak checks). */
@@ -324,15 +356,39 @@ class ShardedDatabase
      * isolation, snapshot, sequence, open. */
     void openBracket(TxState &st, const TxnOptions &opts);
 
-    /** The one finish path for a bracket: commit or roll it back.
-     * When the engine already killed it mid-statement, a commit
-     * reports why (abortCode, else kAborted) and a rollback
+    /** The one finish path for an in-thread bracket: commit or roll
+     * it back. When the engine already killed it mid-statement, a
+     * commit reports why (abortCode, else kAborted) and a rollback
      * succeeds; a finished bracket is kMisuse. */
     Status finishBracket(TxState &st, bool commit);
 
-    /** Commit the bracket: direct member commit for ≤ 1 member,
-     * 2PC for more. */
+    /** Commit the calling thread's bracket: a single member commits
+     * on this thread, more run the commit chain and wait for it. */
     Status commitBracket(TxState &st);
+
+    /** @name The commit chain (see the file comment) */
+    /// @{
+    struct CommitChain;
+    using ChainPtr = std::shared_ptr<CommitChain>;
+
+    /** Take parked bracket @p id and its member contexts out of the
+     * detached table (null when unknown or bound). */
+    ChainPtr takeDetachedChain(std::uint64_t id);
+
+    /** Finish @p c by member count: inline, through the single
+     * member's group commit, or as 2PC. */
+    void startCommit(ChainPtr c);
+
+    /** Run @p c and wait for it; rethrows a simulated crash. */
+    Status commitAndWait(ChainPtr c);
+
+    /** 2PC steps: one prepare done; publish the decision and release
+     * the locks; one finish done; tear down after a failure. */
+    void onPrepared(const ChainPtr &c, std::exception_ptr err);
+    void decide(const ChainPtr &c);
+    void onFinished(const ChainPtr &c, std::exception_ptr err);
+    void failChain(const ChainPtr &c);
+    /// @}
 
     /** Roll back every begun member (abort / rollback path). */
     void abortBracket(TxState &st);
@@ -346,11 +402,6 @@ class ShardedDatabase
     /** Kill the bracket after a member aborted mid-statement. */
     void noteMemberAbort(TxState &st, StatusCode code);
 
-    /** Finish parked bracket @p id: bind it, finishBracket, then
-     * unbind + dispose every member session, reset the thread slot,
-     * and erase the entry. */
-    Status finishDetached(std::uint64_t id, bool commit);
-
     /** Finish the calling thread's bracket for the Txn handle minted
      * with @p seq (kMisuse for a foreign or stale handle). */
     Status finishHandle(std::uint64_t seq, bool commit);
@@ -361,8 +412,13 @@ class ShardedDatabase
 
     /** @name Coordinator decision-slot allocation */
     /// @{
-    unsigned claimCoordSlot();
-    void releaseCoordSlot(unsigned slot);
+    /** Give @p c a free decision slot, or park it (false) until a
+     * finishing chain releases one. */
+    bool claimCoordSlot(const ChainPtr &c);
+
+    /** Free @p slot — or hand it to the oldest parked chain, which
+     * the caller then resumes (returned). */
+    ChainPtr releaseCoordSlot(unsigned slot);
     /// @}
 
     /** pk column of @p table (members share one catalog shape). */
@@ -459,10 +515,13 @@ class ShardedDatabase
      * survive crashes independently of any member). */
     std::unique_ptr<NvmDevice> coordDev_;
     DecisionLog coordLog_;
-    /** Serializes coordinator id reservation. */
+    /** Guards id reservation, the slot bitmap and the parked
+     * chains. */
     SpinLock coordMu_;
     /** Live decision slots (bit i = slot i claimed). */
-    std::atomic<std::uint64_t> coordSlotBitmap_{0};
+    std::uint64_t coordSlots_ = 0;
+    /** Chains waiting for a decision slot, oldest first. */
+    std::deque<ChainPtr> parkedChains_;
 
     /** Member engines. Reserved to RingManifestData::kMaxShards up
      * front so push_back never reallocates under indexed readers;

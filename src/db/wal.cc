@@ -130,35 +130,19 @@ WalShard::stageRetire()
 }
 
 void
-WalShard::prepare(Word txn_id)
+WalShard::stagePrepare(Word txn_id)
 {
     if (!active())
         panic(strCat("db wal: shard ", id_,
                      ": prepare outside a transaction"));
     if (txn_id == 0)
         panic(strCat("db wal: shard ", id_, ": prepare with id 0"));
-    // Stage the new row images and the prepared mark, then one fence:
-    // after it, this member can be rolled forward by header state
-    // alone (nothing further needs to be copied in).
+    // Stage the new row images and the prepared mark: after the
+    // caller's fence, this member can be rolled forward by header
+    // state alone (nothing further needs to be copied in).
     stageCommit();
-    Header *h = header();
-    h->prepared = txn_id;
+    header()->prepared = txn_id;
     device_->flush(base_, sizeof(Header));
-    device_->fence();
-}
-
-void
-WalShard::finishPrepared()
-{
-    Header *h = header();
-    if (!active() || h->prepared == 0)
-        panic(strCat("db wal: shard ", id_,
-                     ": finishPrepared without a prepared txn"));
-    h->active = 0;
-    h->prepared = 0;
-    h->committed += 1;
-    device_->persist(base_, sizeof(Header));
-    logged_.clear();
 }
 
 void

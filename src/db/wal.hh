@@ -88,8 +88,10 @@ class WalShard
      * commit calls this for each batched shard, then fences once. */
     void stageCommit();
 
-    /** Stage the durable commit record: active=0, committed+1 (no
-     * fence). Caller fences after staging the whole batch. */
+    /** Stage the durable commit record: active=0, prepared=0,
+     * committed+1 (no fence) — a one-phase commit's second stage, or
+     * a decided 2PC member's finish. Caller fences after staging the
+     * whole batch. */
     void stageRetire();
 
     /** Per-range notification after an undo restore (index repair). */
@@ -112,19 +114,19 @@ class WalShard
 
     /** @name Two-phase commit member protocol
      *
-     * prepare() makes the new row images durable and durably marks
-     * the segment as prepared under @p txn_id, all behind one fence —
-     * the member's yes-vote. The coordinator then writes its durable
-     * decision record; only after that may finishPrepared() retire
-     * the segment as committed. A crash in between leaves
+     * stagePrepare() stages the new row images and the segment's
+     * "prepared under @p txn_id" mark; the fence that follows (the
+     * group-commit batch's first) makes them the member's yes-vote.
+     * The coordinator then writes its durable decision record; only
+     * after that may the member's retire record (stageRetire, the
+     * batch's second fence) be staged. A crash in between leaves
      * active=1/prepared=txn_id, and recover() asks the resolver
      * whether the decision record exists: yes rolls the member
      * forward (the images are already durable — retire as
      * committed), no is presumed abort (undo rollback).
      */
     /// @{
-    void prepare(Word txn_id);
-    void finishPrepared();
+    void stagePrepare(Word txn_id);
     Word preparedTxn() const { return header()->prepared; }
 
     /** Coordinator lookup: was this transaction's commit decision

@@ -127,6 +127,11 @@ Connection::readable()
 void
 Connection::processBuffer()
 {
+    // A commit that completes inline resumes from inside execFrame;
+    // the loop below is already running and picks the pipeline up.
+    if (parsing_)
+        return;
+    parsing_ = true;
     while (!closed_ && !paused_) {
         FrameView f;
         ParseResult pr = tryParseFrame(rbuf_.data() + rhead_,
@@ -137,15 +142,19 @@ Connection::processBuffer()
             // Corrupt framing: the stream can't be resynchronized.
             srv_->stats_.protocolErrors.fetch_add(
                 1, std::memory_order_relaxed);
+            parsing_ = false;
             close();
             return;
         }
         srv_->stats_.frames.fetch_add(1, std::memory_order_relaxed);
         execFrame(f);
-        if (closed_)
+        if (closed_) {
+            parsing_ = false;
             return;
+        }
         rhead_ += f.frameBytes();
     }
+    parsing_ = false;
     if (rhead_ > 0 &&
         (rhead_ == rbuf_.size() || rhead_ >= srv_->cfg_.readBufBytes)) {
         rbuf_.erase(rbuf_.begin(),
@@ -566,25 +575,54 @@ Connection::opFinishTxn(WireOp op, const SlotPtr &slot)
         return;
     }
     std::uint64_t bid = txnId_;
-    bool commit = op == WireOp::kCommit;
-    auto db = db_;
     auto *srv = srv_;
-    runOnPool(
-        op, slot,
-        [db, srv, bid, commit]() {
-            PoolResult out;
-            db::Status s = commit ? db->commitDetached(bid)
-                                  : db->rollbackDetached(bid);
-            out.status = mapCode(s.code());
-            if (commit && s.isOk())
-                srv->stats_.txnsCommitted.fetch_add(
-                    1, std::memory_order_relaxed);
-            else
+    if (op == WireOp::kRollback) {
+        auto db = db_;
+        runOnPool(
+            op, slot,
+            [db, srv, bid]() {
+                PoolResult out;
+                out.status = mapCode(db->rollbackDetached(bid).code());
                 srv->stats_.txnsAborted.fetch_add(
                     1, std::memory_order_relaxed);
-            return out;
-        },
-        true);
+                return out;
+            },
+            true);
+        return;
+    }
+
+    // Commit blocks no thread: the engine's commit chain runs on the
+    // members' group-commit drainers (or completes inline for a
+    // read-only or engine-aborted bracket). The connection stays
+    // paused until it completes, so the client's next transaction
+    // begins after this one's commit point.
+    if (!srv_->admit(worker_)) {
+        srv_->stats_.admissionRejects.fetch_add(
+            1, std::memory_order_relaxed);
+        fillSimple(slot, op, WireStatus::kBusy);
+        return;
+    }
+    // The chain owns the bracket from here: a disconnect meanwhile
+    // has nothing to roll back.
+    txnId_ = 0;
+    txnDead_ = false;
+    paused_ = true;
+    updateInterest();
+    auto self = shared_from_this();
+    auto done = [this, self, srv, op, slot](db::Status s) {
+        if (s.isOk())
+            srv->stats_.txnsCommitted.fetch_add(
+                1, std::memory_order_relaxed);
+        else
+            srv->stats_.txnsAborted.fetch_add(
+                1, std::memory_order_relaxed);
+        PoolResult pr;
+        pr.status = mapCode(s.code());
+        loop_->post([this, self, op, slot, pr] {
+            resumeAfter(op, slot, pr, false);
+        });
+    };
+    db_->commitDetachedAsync(bid, std::move(done));
 }
 
 void
@@ -610,29 +648,36 @@ Connection::runOnPool(WireOp op, const SlotPtr &slot,
             pr.status = WireStatus::kError;
         }
         loop_->post([this, self, op, slot, ends_txn, pr] {
-            srv_->noteWorkDone(worker_);
-            if (closed_)
-                return;
-            paused_ = false;
-            if (ends_txn) {
-                // The bracket was consumed whatever the outcome.
-                txnId_ = 0;
-                txnDead_ = false;
-            }
-            if (pr.status == WireStatus::kOk && pr.hasFlag) {
-                WireWriter w;
-                w.begin(op, static_cast<std::uint16_t>(pr.status));
-                w.putU8(pr.flag);
-                w.finish();
-                fillPayload(slot, std::move(w));
-            } else {
-                fillSimple(slot, op, pr.status);
-            }
-            if (closed_)
-                return;
-            processBuffer(); // resume the pipeline
+            resumeAfter(op, slot, pr, ends_txn);
         });
     });
+}
+
+void
+Connection::resumeAfter(WireOp op, const SlotPtr &slot,
+                        const PoolResult &pr, bool ends_txn)
+{
+    srv_->noteWorkDone(worker_);
+    if (closed_)
+        return;
+    paused_ = false;
+    if (ends_txn) {
+        // The bracket was consumed whatever the outcome.
+        txnId_ = 0;
+        txnDead_ = false;
+    }
+    if (pr.status == WireStatus::kOk && pr.hasFlag) {
+        WireWriter w;
+        w.begin(op, static_cast<std::uint16_t>(pr.status));
+        w.putU8(pr.flag);
+        w.finish();
+        fillPayload(slot, std::move(w));
+    } else {
+        fillSimple(slot, op, pr.status);
+    }
+    if (closed_)
+        return;
+    processBuffer(); // resume the pipeline
 }
 
 Connection::SlotPtr

@@ -18,9 +18,10 @@
  *    on the owning member, execute, park, commitDetachedAsync — the
  *    response fires from the drainer's completion;
  *  - explicit transaction: kBegin opens a sharded detached bracket;
- *    each op binds it, executes, unbinds; kCommit/kRollback run on
- *    the committer pool (2PC may fence several times) with the
- *    connection paused so in-order semantics hold;
+ *    each op binds it, executes, unbinds; kCommit hands the bracket
+ *    to the engine's non-blocking commit chain and kRollback runs on
+ *    the committer pool, either way with the connection paused until
+ *    it completes so in-order semantics hold;
  *  - reads execute inline on the worker (lock-free row probes).
  *
  * Failure containment: an engine abort (WAL-full, deadlock victim,
@@ -126,6 +127,12 @@ class Connection : public std::enable_shared_from_this<Connection>
     void runOnPool(WireOp op, const SlotPtr &slot,
                    std::function<PoolResult()> job, bool ends_txn);
 
+    /** Completion of a deferred op that paused the connection (pool
+     * job or async commit; loop thread): answer @p slot, unpause and
+     * resume the pipeline. */
+    void resumeAfter(WireOp op, const SlotPtr &slot,
+                     const PoolResult &pr, bool ends_txn);
+
     /** @name Response plumbing */
     /// @{
     SlotPtr pushSlot();
@@ -150,9 +157,12 @@ class Connection : public std::enable_shared_from_this<Connection>
 
     std::uint32_t interest_ = 0;
     bool closed_ = false;
-    /** A pool op is in flight; no further frames execute until its
-     * completion (read interest is dropped). */
+    /** A pool op or a commit is in flight; no further frames execute
+     * until its completion (read interest is dropped). */
     bool paused_ = false;
+    /** processBuffer() is on the stack (an inline completion must not
+     * re-enter it). */
+    bool parsing_ = false;
 
     /** Open sharded detached-bracket id (0 = auto-commit mode). */
     std::uint64_t txnId_ = 0;

@@ -11,13 +11,18 @@
  *    session — begins are nowait (kBusy when the engine is
  *    saturated), row-lock waits are bounded, and commit durability
  *    is handed off;
- *  - auto-commit write durability parks in the group-commit
- *    coordinator via commitDetachedAsync (the drainer thread batches
- *    concurrent connections' fences and completes the responses);
- *  - a small committer pool runs the operations that may legally
- *    block: explicit-transaction commit/rollback (2PC fences) and
- *    mid-migration routed writes. A connection is paused while a
- *    pool op of its runs, preserving its in-order semantics.
+ *  - commit durability never blocks a worker: auto-commit writes
+ *    park in the member's group-commit coordinator
+ *    (Database::commitDetachedAsync) and explicit kCommit hands the
+ *    bracket to ShardedDatabase::commitDetachedAsync, whose 2PC
+ *    chain runs on the members' drainers; the drainers batch
+ *    concurrent connections' fences and complete the responses;
+ *  - a small committer pool runs only the operations that may
+ *    legally block: explicit-transaction rollback and mid-migration
+ *    routed writes (which may probe two member homes).
+ *
+ * A connection is paused while its commit or pool op is in flight,
+ * preserving its in-order semantics.
  *
  * Overload degrades instead of collapsing: per-worker in-flight work
  * above ServerConfig::queueDepth answers kBusy without executing
@@ -65,7 +70,7 @@ struct ServerConfig
      * 2. */
     unsigned workers = 0;
 
-    /** Committer-pool threads (blocking commit/rollback, migration
+    /** Committer-pool threads (explicit rollbacks, migration
      * fallbacks). */
     unsigned committers = 2;
 

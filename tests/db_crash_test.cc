@@ -4,13 +4,17 @@
  * of a multi-statement transaction must leave the database atomic —
  * either the whole transaction or none of it — under both crash
  * modes. Also sweeps DDL (catalog publication) and the cross-shard
- * two-phase commit protocol (prepare / decision / finish windows).
+ * two-phase commit protocol (prepare / decision / finish windows),
+ * both through in-thread Txn handles and through the wire's detached
+ * brackets and non-blocking commits.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "db/database.hh"
@@ -388,9 +392,69 @@ runRounds(ShardedDatabase &db, const std::vector<std::int64_t> &keys)
     return acked;
 }
 
-void
-twopcSweep(CrashMode mode, std::uint64_t window_us)
+/** runRounds through the wire's path: each round is a detached
+ * bracket written bound and committed with commitDetachedAsync, then
+ * waited for. The async API reports a power failure as a non-OK
+ * Status, not an exception. */
+int
+runRoundsAsync(ShardedDatabase &db, const std::vector<std::int64_t> &keys,
+               const CrashInjector &inj)
 {
+    int acked = 0;
+    try {
+        for (int i = 1; i <= kRounds; ++i) {
+            std::uint64_t id = 0;
+            Status s = db.beginDetached({}, &id);
+            if (!s.isOk()) {
+                ADD_FAILURE() << "round " << i << ": " << s.message();
+                break;
+            }
+            if (!db.bindDetached(id)) {
+                ADD_FAILURE() << "round " << i << ": bind refused";
+                break;
+            }
+            for (std::int64_t pk : keys) {
+                DbRecord rec = kvRow(pk, i);
+                rec.dirtyMask = 1ull << 1;
+                db.persistRecord("KV", rec);
+            }
+            db.unbindDetached(id);
+
+            std::mutex mu;
+            std::condition_variable cv;
+            bool finished = false;
+            db.commitDetachedAsync(id, [&](Status r) {
+                std::lock_guard<std::mutex> g(mu);
+                s = r;
+                finished = true;
+                cv.notify_one();
+            });
+            {
+                std::unique_lock<std::mutex> lk(mu);
+                cv.wait(lk, [&] { return finished; });
+            }
+            if (!s.isOk()) {
+                if (!inj.tripped())
+                    ADD_FAILURE() << "round " << i << ": " << s.message();
+                break; // power is gone mid-protocol
+            }
+            acked = i;
+        }
+    } catch (const SimulatedCrash &) {
+        // Power is gone mid-statement.
+    }
+    return acked;
+}
+
+void
+twopcSweep(CrashMode mode, std::uint64_t window_us, bool async = false)
+{
+    auto rounds = [async](ShardedDatabase &db,
+                          const std::vector<std::int64_t> &keys,
+                          const CrashInjector &inj) {
+        return async ? runRoundsAsync(db, keys, inj) : runRounds(db, keys);
+    };
+
     setWarningsEnabled(false);
     // Dry run: count the workload's persistence events so crash
     // points can be drawn from the real range.
@@ -408,7 +472,7 @@ twopcSweep(CrashMode mode, std::uint64_t window_us)
             ASSERT_GT(db->shard(s).rowCount("KV"), 0u) << s;
         installInjector(*db, &probe);
         probe.resetCount();
-        ASSERT_EQ(runRounds(*db, keys), kRounds);
+        ASSERT_EQ(rounds(*db, keys, probe), kRounds);
         installInjector(*db, nullptr);
         total_events = probe.eventCount();
     }
@@ -421,7 +485,7 @@ twopcSweep(CrashMode mode, std::uint64_t window_us)
         installInjector(*db, &inj);
         std::uint64_t target = 1 + rng.nextBelow(total_events);
         inj.arm(target);
-        int acked = runRounds(*db, keys);
+        int acked = rounds(*db, keys, inj);
         inj.disarm();
         installInjector(*db, nullptr);
         if (inj.eventCount() < target)
@@ -635,6 +699,26 @@ TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionEager)
 TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionGroupCommit)
 {
     twopc::twopcSweep(CrashMode::kEvictRandomLines, 2000);
+}
+
+TEST(DbCrashTest, TwoPhaseCommitSweepConservativeEagerAsync)
+{
+    twopc::twopcSweep(CrashMode::kDiscardUnflushed, 0, true);
+}
+
+TEST(DbCrashTest, TwoPhaseCommitSweepConservativeGroupCommitAsync)
+{
+    twopc::twopcSweep(CrashMode::kDiscardUnflushed, 2000, true);
+}
+
+TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionEagerAsync)
+{
+    twopc::twopcSweep(CrashMode::kEvictRandomLines, 0, true);
+}
+
+TEST(DbCrashTest, TwoPhaseCommitSweepWithCacheEvictionGroupCommitAsync)
+{
+    twopc::twopcSweep(CrashMode::kEvictRandomLines, 2000, true);
 }
 
 TEST(DbCrashTest, DdlSweep)

@@ -12,6 +12,9 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "db/database.hh"
@@ -21,6 +24,7 @@
 #include "db/wal.hh"
 #include "runtime/oop.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace espresso {
 namespace db {
@@ -1257,6 +1261,339 @@ TEST_F(ShardedDbTest, SnapshotBracketSeesCrossShardCommitAtomically)
         ASSERT_TRUE(database.fetchRecord("T", id, &out));
         EXPECT_EQ(out.values[1].i, 1);
     }
+}
+
+// ---------------------------------------------------------------------
+// Non-blocking commits: ShardedDatabase::commitDetachedAsync
+// ---------------------------------------------------------------------
+
+class AsyncCommitTest : public ShardedDbTest
+{
+  protected:
+    /** The @p nth (0-based) pk that routes to member @p shard. */
+    static std::int64_t
+    pkOn(ShardedDatabase &db, unsigned shard, unsigned nth = 0)
+    {
+        for (std::int64_t pk = 0;; ++pk)
+            if (db.shardIndexForPk(pk) == shard && nth-- == 0)
+                return pk;
+    }
+
+    /** Open a detached bracket and write @p v into @p pks through
+     * it. */
+    static std::uint64_t
+    openWriting(ShardedDatabase &db, const std::vector<std::int64_t> &pks,
+                std::int64_t v)
+    {
+        std::uint64_t id = 0;
+        EXPECT_TRUE(db.beginDetached({}, &id).isOk());
+        EXPECT_TRUE(db.bindDetached(id));
+        for (std::int64_t pk : pks)
+            db.persistRecord("T", row(pk, v));
+        db.unbindDetached(id);
+        return id;
+    }
+
+    /** Fence and flush counts of every member device, then the
+     * coordinator's. */
+    static std::vector<std::uint64_t>
+    deviceEvents(ShardedDatabase &db)
+    {
+        std::vector<std::uint64_t> out;
+        auto add = [&out](NvmDevice &d) {
+            out.push_back(d.stats().fences.load());
+            out.push_back(d.stats().flushCalls.load());
+        };
+        for (unsigned i = 0; i < db.shardCount(); ++i)
+            add(db.shard(i).device());
+        add(db.coordinatorDevice());
+        return out;
+    }
+
+    /** commitDetachedAsync, then wait for its callback; @p inline_done
+     * reports whether it had fired before the call returned. */
+    static Status
+    commitAsyncAndWait(ShardedDatabase &db, std::uint64_t id,
+                       bool *inline_done = nullptr)
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        bool done = false;
+        Status out;
+        db.commitDetachedAsync(id, [&](Status s) {
+            std::lock_guard<std::mutex> g(mu);
+            out = s;
+            done = true;
+            cv.notify_one();
+        });
+        std::unique_lock<std::mutex> lk(mu);
+        if (inline_done != nullptr)
+            *inline_done = done;
+        cv.wait(lk, [&] { return done; });
+        return out;
+    }
+};
+
+TEST_F(AsyncCommitTest, ReadOnlyBracketCompletesInlineWithoutFences)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::int64_t a = pkOn(database, 0), b = pkOn(database, 1);
+    database.persistRecord("T", row(a, 1));
+    database.persistRecord("T", row(b, 2));
+
+    std::uint64_t id = 0;
+    ASSERT_TRUE(database.beginDetached({Isolation::kSnapshot}, &id).isOk());
+    ASSERT_TRUE(database.bindDetached(id));
+    DbRecord out;
+    ASSERT_TRUE(database.fetchRecord("T", a, &out));
+    ASSERT_TRUE(database.fetchRecord("T", b, &out));
+    database.unbindDetached(id);
+
+    std::vector<std::uint64_t> before = deviceEvents(database);
+    bool inline_done = false;
+    EXPECT_TRUE(commitAsyncAndWait(database, id, &inline_done).isOk());
+    EXPECT_TRUE(inline_done) << "a read-only commit took a thread hop";
+    EXPECT_EQ(deviceEvents(database), before);
+    EXPECT_EQ(database.detachedCount(), 0u);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+}
+
+TEST_F(AsyncCommitTest, SingleMemberBracketIsOneGroupCommit)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::vector<std::int64_t> pks = {pkOn(database, 0, 0),
+                                     pkOn(database, 0, 1)};
+    for (std::int64_t pk : pks)
+        database.persistRecord("T", row(pk, 0));
+
+    std::uint64_t id = openWriting(database, pks, 5);
+    CommitCoordinator::Stats m0 =
+        database.shard(0).commitCoordinator().stats();
+    CommitCoordinator::Stats m1 =
+        database.shard(1).commitCoordinator().stats();
+    std::uint64_t coord =
+        database.coordinatorDevice().stats().fences.load();
+    EXPECT_TRUE(commitAsyncAndWait(database, id).isOk());
+
+    EXPECT_EQ(database.shard(0).commitCoordinator().stats().txns,
+              m0.txns + 1);
+    EXPECT_EQ(database.shard(1).commitCoordinator().stats().txns,
+              m1.txns);
+    EXPECT_EQ(database.coordinatorDevice().stats().fences.load(), coord);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    for (std::int64_t pk : pks) {
+        DbRecord out;
+        ASSERT_TRUE(database.fetchRecord("T", pk, &out));
+        EXPECT_EQ(out.values[1].i, 5);
+    }
+}
+
+TEST_F(AsyncCommitTest, TwoMemberBracketPublishesOneDecision)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::vector<std::int64_t> pks = {pkOn(database, 0),
+                                     pkOn(database, 1)};
+    for (std::int64_t pk : pks)
+        database.persistRecord("T", row(pk, 0));
+
+    std::uint64_t id = openWriting(database, pks, 9);
+    std::uint64_t coord =
+        database.coordinatorDevice().stats().fences.load();
+    EXPECT_TRUE(commitAsyncAndWait(database, id).isOk());
+    EXPECT_EQ(database.coordinatorDevice().stats().fences.load(),
+              coord + 1);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
+
+    // Durable on both members: the decision committed them together.
+    database.crash(CrashMode::kDiscardUnflushed);
+    for (std::int64_t pk : pks) {
+        DbRecord out;
+        ASSERT_TRUE(database.fetchRecord("T", pk, &out));
+        EXPECT_EQ(out.values[1].i, 9);
+    }
+}
+
+TEST_F(AsyncCommitTest, EngineAbortedBracketReportsItsCodeAndTouchesNoDevice)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::int64_t a = pkOn(database, 0), b = pkOn(database, 1);
+    database.persistRecord("T", row(a, 0));
+    database.persistRecord("T", row(b, 0));
+
+    // First committer wins: a row committed after the bracket's
+    // snapshot kills the bracket on its write.
+    std::uint64_t id = 0;
+    ASSERT_TRUE(database.beginDetached({Isolation::kSnapshot}, &id).isOk());
+    ASSERT_TRUE(database.bindDetached(id));
+    database.persistRecord("T", row(b, 1));
+    database.unbindDetached(id);
+    database.persistRecord("T", row(a, 7)); // auto-commit, after S
+    ASSERT_TRUE(database.bindDetached(id));
+    EXPECT_THROW(database.persistRecord("T", row(a, 2)), TxnAbortError);
+    database.unbindDetached(id);
+
+    std::vector<std::uint64_t> before = deviceEvents(database);
+    bool inline_done = false;
+    EXPECT_EQ(commitAsyncAndWait(database, id, &inline_done).code(),
+              StatusCode::kConflict);
+    EXPECT_TRUE(inline_done);
+    EXPECT_EQ(deviceEvents(database), before);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
+    DbRecord out;
+    ASSERT_TRUE(database.fetchRecord("T", b, &out));
+    EXPECT_EQ(out.values[1].i, 0) << "the killed bracket's write leaked";
+}
+
+TEST_F(AsyncCommitTest, DecisionSlotExhaustionParksChains)
+{
+    // More concurrent 2PC brackets than the DecisionLog has slots.
+    // Member 1 fences slowly, so its prepares pile into one batch
+    // whose callbacks claim every slot before any finish frees one.
+    constexpr unsigned kBrackets = 96;
+    ShardedDatabaseConfig cfg = config(2);
+    cfg.shard.walShards = 128;
+    ShardedDatabase database(cfg);
+    database.createTable(schema());
+    NvmConfig &slow = database.shard(1).device().config();
+    slow.fenceLatencyNs = 2'000'000;
+    slow.fenceDrainSerialized = true;
+
+    std::vector<std::uint64_t> ids;
+    std::vector<std::int64_t> pks;
+    for (unsigned i = 0; i < kBrackets; ++i) {
+        std::int64_t a = pkOn(database, 0, i), b = pkOn(database, 1, i);
+        pks.push_back(a);
+        pks.push_back(b);
+        ids.push_back(openWriting(database, {a, b}, 1));
+    }
+    std::uint64_t coord =
+        database.coordinatorDevice().stats().fences.load();
+
+    std::mutex mu;
+    std::condition_variable cv;
+    unsigned done = 0, ok = 0;
+    for (std::uint64_t id : ids)
+        database.commitDetachedAsync(id, [&](Status s) {
+            std::lock_guard<std::mutex> g(mu);
+            ++done;
+            ok += s.isOk() ? 1 : 0;
+            cv.notify_one();
+        });
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(60),
+                                [&] { return done == kBrackets; }))
+            << "only " << done << " of " << kBrackets << " commits finished";
+    }
+    EXPECT_EQ(ok, kBrackets);
+    EXPECT_EQ(database.coordinatorDevice().stats().fences.load(),
+              coord + kBrackets);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
+    for (std::int64_t pk : pks) {
+        DbRecord out;
+        ASSERT_TRUE(database.fetchRecord("T", pk, &out));
+        EXPECT_EQ(out.values[1].i, 1) << pk;
+    }
+    slow.fenceLatencyNs = 0;
+}
+
+TEST_F(AsyncCommitTest, SnapshotAuditsSeeNoFracturedSums)
+{
+    // Groups of four accounts, one per member: every transfer is a
+    // cross-shard 2PC whose row locks drop at the decision, before
+    // the members' finishes are durable. Snapshot audits must still
+    // see every group's sum conserved.
+    constexpr unsigned kMembers = 4, kGroups = 4, kWriters = 4;
+    constexpr int kTransfers = 60;
+    constexpr std::int64_t kOpening = 1000;
+    ShardedDatabaseConfig cfg = config(kMembers);
+    cfg.shard.walShards = 16;
+    NvmConfig nvm;
+    nvm.fenceLatencyNs = 20'000;
+    nvm.fenceDrainSerialized = true;
+    ShardedDatabase database(cfg, nvm);
+    database.createTable(schema());
+    std::vector<std::vector<std::int64_t>> groups(kGroups);
+    for (unsigned g = 0; g < kGroups; ++g)
+        for (unsigned m = 0; m < kMembers; ++m) {
+            groups[g].push_back(pkOn(database, m, g));
+            database.persistRecord("T", row(groups[g].back(), kOpening));
+        }
+
+    std::atomic<int> writers_left{kWriters};
+    std::atomic<std::uint64_t> committed{0};
+    std::vector<std::thread> writers;
+    for (unsigned w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&, w]() {
+            Rng rng(0xA5C0ull + w);
+            for (int done = 0, tries = 0; done < kTransfers && tries < 100000;
+                 ++tries) {
+                const std::vector<std::int64_t> &g =
+                    groups[rng.nextBelow(kGroups)];
+                std::uint64_t x = rng.nextBelow(kMembers);
+                std::uint64_t y = (x + 1 + rng.nextBelow(kMembers - 1)) %
+                                  kMembers;
+                std::int64_t amount =
+                    1 + static_cast<std::int64_t>(rng.nextBelow(9));
+                std::uint64_t id = 0;
+                if (!database.beginDetached({Isolation::kSnapshot}, &id)
+                         .isOk())
+                    continue;
+                EXPECT_TRUE(database.bindDetached(id));
+                try {
+                    DbRecord from, to;
+                    EXPECT_TRUE(database.fetchRecord("T", g[x], &from));
+                    EXPECT_TRUE(database.fetchRecord("T", g[y], &to));
+                    database.persistRecord(
+                        "T", row(g[x], from.values[1].i - amount));
+                    database.persistRecord(
+                        "T", row(g[y], to.values[1].i + amount));
+                } catch (const TxnAbortError &) {
+                    // Conflict or bounded lock wait: commit reports it.
+                }
+                database.unbindDetached(id);
+                if (commitAsyncAndWait(database, id).isOk()) {
+                    ++done;
+                    committed.fetch_add(1);
+                }
+            }
+            writers_left.fetch_sub(1);
+        });
+    }
+
+    std::uint64_t audits = 0, fractured = 0;
+    while (writers_left.load() > 0 || audits == 0) {
+        Txn r = database.beginTxn({Isolation::kSnapshot});
+        for (unsigned g = 0; g < kGroups; ++g) {
+            std::int64_t sum = 0;
+            for (std::int64_t pk : groups[g]) {
+                DbRecord out;
+                EXPECT_TRUE(database.fetchRecord("T", pk, &out));
+                sum += out.values[1].i;
+            }
+            if (sum != kOpening * kMembers && fractured++ == 0)
+                ADD_FAILURE() << "fractured read of group " << g
+                              << " at audit " << audits << ": sum "
+                              << sum;
+        }
+        EXPECT_TRUE(r.commit().isOk());
+        ++audits;
+    }
+    for (std::thread &t : writers)
+        t.join();
+    EXPECT_EQ(fractured, 0u);
+    EXPECT_EQ(committed.load(),
+              static_cast<std::uint64_t>(kWriters * kTransfers));
+    EXPECT_GT(audits, 1u);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
 }
 
 TEST(VersionChainTest, TrimKeepsChainsBoundedUnderLongSnapshot)
