@@ -68,13 +68,15 @@ main()
     em2.begin();
     Entity *a0 = em2.find("ACCOUNT", 0);
     Entity *a1 = em2.find("ACCOUNT", 1);
-    std::printf("%s: %ld\n%s: %ld\ntotal: %ld (conserved)\n",
+    long total = static_cast<long>(a0->get("BALANCE").i +
+                                   a1->get("BALANCE").i);
+    bool conserved = total == 2 * 1000; // two accounts opened at 1000
+    std::printf("%s: %ld\n%s: %ld\ntotal: %ld (%s)\n",
                 a0->get("OWNER").s.c_str(),
                 static_cast<long>(a0->get("BALANCE").i),
                 a1->get("OWNER").s.c_str(),
-                static_cast<long>(a1->get("BALANCE").i),
-                static_cast<long>(a0->get("BALANCE").i +
-                                  a1->get("BALANCE").i));
+                static_cast<long>(a1->get("BALANCE").i), total,
+                conserved ? "conserved" : "NOT conserved: expected 2000");
     em2.commit();
-    return 0;
+    return conserved ? 0 : 1;
 }

@@ -86,5 +86,5 @@ main()
                 count, static_cast<long>(sum),
                 static_cast<long>(expected_sum),
                 sum == expected_sum ? "OK" : "MISMATCH");
-    return 0;
+    return sum == expected_sum ? 0 : 1;
 }

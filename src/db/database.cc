@@ -11,31 +11,6 @@ namespace db {
 
 namespace {
 
-std::atomic<std::uint64_t> g_dbSerial{1};
-
-/** Unique per thread lifetime, never recycled (unlike thread ids). */
-std::atomic<std::uint64_t> g_threadToken{1};
-
-std::uint64_t
-threadToken()
-{
-    static thread_local std::uint64_t token =
-        g_threadToken.fetch_add(1, std::memory_order_relaxed);
-    return token;
-}
-
-/** Fast path for txContext(): the last (database serial, generation,
- * context) this thread resolved. File-scope (not function-local) so
- * the detached-session bind/unbind/detach paths can invalidate it
- * when they swap the thread's slot out from under the cache. */
-struct CtxCache
-{
-    std::uint64_t serial = 0;
-    std::uint64_t gen = 0;
-    void *ctx = nullptr;
-};
-thread_local CtxCache g_ctxCache;
-
 /** Row-lock wait bound for nowait (wire) transactions: this many
  * 256-spin rounds, then abort kBusy. Long enough to ride out a
  * committing holder, short enough that an event-loop worker stalls
@@ -55,12 +30,19 @@ groupCommitWindowFromEnv()
     return 0;
 }
 
+Status
+unknownSession()
+{
+    return Status::make(StatusCode::kMisuse,
+                        "db: unknown session, or bound to another "
+                        "thread");
+}
+
 } // namespace
 
 Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
                    SnapshotClock *shared_clock)
-    : cfg_(cfg),
-      serial_(g_dbSerial.fetch_add(1, std::memory_order_relaxed))
+    : cfg_(cfg)
 {
     if (cfg_.groupCommitWindowUs == DatabaseConfig::kWindowFromEnv)
         cfg_.groupCommitWindowUs = groupCommitWindowFromEnv();
@@ -97,30 +79,35 @@ Database::Database(const DatabaseConfig &cfg, NvmConfig nvm_cfg,
 
 Database::~Database() = default;
 
+Database::ThreadSlot &
+Database::threadSlot()
+{
+    ThreadSlot &slot = slots_.get();
+    if (slot.idle.rowTx.token == 0) {
+        slot.idle.shardId =
+            nextShard_.fetch_add(1, std::memory_order_relaxed) %
+            wal_->shardCount();
+        slot.idle.rowTx.token = slot.idle.shardId + 1;
+    }
+    return slot;
+}
+
+bool
+Database::parkKilled(ThreadSlot &slot)
+{
+    if (slot.bound != nullptr && !slot.bound->explicitTx) {
+        slot.bound->bound = false;
+        slot.bound = nullptr;
+    }
+    return slot.bound == nullptr;
+}
+
 Database::TxContext &
 Database::txContext()
 {
-    std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (g_ctxCache.serial == serial_ && g_ctxCache.gen == gen)
-        return *static_cast<TxContext *>(g_ctxCache.ctx);
-    SpinGuard g(ctxMu_);
-    auto &slot = ctxs_[threadToken()];
-    if (!slot) {
-        slot = std::make_unique<TxContext>();
-        slot->shardId = nextShard_.fetch_add(1, std::memory_order_relaxed) %
-                        wal_->shardCount();
-        slot->rowTx.token = slot->shardId + 1;
-    }
-    g_ctxCache = CtxCache{serial_, gen, slot.get()};
-    return *slot;
-}
-
-Database::TxContext *
-Database::txContextIfAny() const
-{
-    SpinGuard g(ctxMu_);
-    auto it = ctxs_.find(threadToken());
-    return it == ctxs_.end() ? nullptr : it->second.get();
+    ThreadSlot &slot = threadSlot();
+    return slot.bound != nullptr && slot.bound->explicitTx ? *slot.bound
+                                                           : slot.idle;
 }
 
 bool
@@ -144,16 +131,15 @@ Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
         if (chosen == n)
             return false;
         ctx.shardId = chosen;
-        ctx.rowTx.token = chosen + 1;
     } else {
         // One transaction per shard: extra threads mapped to the
         // same shard queue here.
         wal_->shard(ctx.shardId).acquireTx();
     }
     WalShard &shard = wal_->shard(ctx.shardId);
+    ctx.rowTx.token = ctx.shardId + 1;
     ctx.rowTx.maxSpinRounds = nowait ? kNetLockSpinRounds : 0;
 
-    ctx.isolation = iso;
     if (iso == Isolation::kSnapshot) {
         if (bracket_snapshot != kNoSnapshot) {
             // A sharded bracket registered one snapshot for every
@@ -265,7 +251,6 @@ Database::mutate(Fn &&fn)
         rollbackTx(ctx);
         if (!own) {
             ctx.explicitTx = false;
-            ctx.aborted = true;
             ctx.abortCode = code;
         }
     };
@@ -301,41 +286,51 @@ Database::mutate(Fn &&fn)
 }
 
 Database::TxContext *
-Database::openTx(Isolation iso, Word bracket_snapshot, bool nowait)
+Database::openSession(Isolation iso, Word bracket_snapshot, bool nowait,
+                      bool bind)
 {
-    TxContext &ctx = txContext();
-    if (ctx.explicitTx)
-        fatal("db: nested transactions are not supported");
-    ctx.aborted = false;
-    ctx.abortCode = StatusCode::kOk;
-    if (!beginTx(ctx, iso, bracket_snapshot, nowait))
+    ThreadSlot *slot = bind ? &threadSlot() : nullptr;
+    if (slot != nullptr) {
+        SpinGuard g(sessionsMu_);
+        if (!parkKilled(*slot))
+            fatal("db: nested transactions are not supported");
+    }
+    auto ctx = std::make_unique<TxContext>();
+    ctx->shardId =
+        slot != nullptr
+            ? slot->idle.shardId
+            : nextShard_.fetch_add(1, std::memory_order_relaxed) %
+                  wal_->shardCount();
+    if (!beginTx(*ctx, iso, bracket_snapshot, nowait))
         return nullptr;
-    ctx.explicitTx = true;
-    return &ctx;
+    ctx->explicitTx = true;
+    ctx->bound = slot != nullptr;
+    TxContext *raw = ctx.get();
+    {
+        SpinGuard g(sessionsMu_);
+        sessions_.emplace(raw->txnSeq, std::move(ctx));
+    }
+    if (slot != nullptr)
+        slot->bound = raw;
+    return raw;
 }
 
 Txn
 Database::beginTxn(const TxnOptions &opts)
 {
-    TxContext *ctx = openTx(opts.isolation);
-    return Txn(this, nullptr, ctx->txnSeq, ctx->snapshot);
+    TxContext *s = openSession(opts.isolation, kNoSnapshot,
+                               /*nowait=*/false, /*bind=*/true);
+    return Txn(this, nullptr, s->txnSeq, s->snapshot);
 }
 
 Status
 Database::finishTx(TxContext &ctx, bool commit)
 {
     if (!ctx.explicitTx) {
-        if (!ctx.aborted)
-            return Status::make(StatusCode::kMisuse,
-                                "db: transaction already finished");
-        ctx.aborted = false;
         if (!commit)
             return Status::ok(); // already rolled back, as requested
-        StatusCode code = ctx.abortCode == StatusCode::kOk
-                              ? StatusCode::kAborted
-                              : ctx.abortCode;
         return Status::make(
-            code, "db: transaction was rolled back by the engine");
+            ctx.abortCode, "db: transaction was rolled back by the engine");
     }
     ctx.explicitTx = false;
     if (commit)
@@ -343,16 +338,6 @@ Database::finishTx(TxContext &ctx, bool commit)
     else
         rollbackTx(ctx);
     return Status::ok();
-}
-
-Status
-Database::finishHandle(std::uint64_t seq, bool commit)
-{
-    TxContext *ctx = txContextIfAny();
-    if (ctx == nullptr || ctx->txnSeq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "db: foreign or stale transaction handle");
-    return finishTx(*ctx, commit);
 }
 
 bool
@@ -365,111 +350,86 @@ Database::powerLost()
 Status
 Database::beginDetached(const TxnOptions &opts, std::uint64_t *id_out)
 {
-    *id_out = 0;
-    auto ctx = std::make_unique<TxContext>();
-    ctx->shardId = nextShard_.fetch_add(1, std::memory_order_relaxed) %
-                   wal_->shardCount();
-    ctx->rowTx.token = ctx->shardId + 1;
-    if (!beginTx(*ctx, opts.isolation, kNoSnapshot, /*nowait=*/true))
+    TxContext *s = openSession(opts.isolation, kNoSnapshot,
+                               /*nowait=*/true, /*bind=*/false);
+    *id_out = s != nullptr ? s->txnSeq : 0;
+    if (s == nullptr)
         return Status::make(StatusCode::kBusy,
                             "db: every undo-log shard is carrying a "
                             "transaction; retry");
-    ctx->explicitTx = true;
-
-    std::uint64_t id =
-        detachedIdCounter_.fetch_add(1, std::memory_order_relaxed);
-    SpinGuard g(ctxMu_);
-    DetachedSession &s = detached_[id];
-    s.ctx = std::move(ctx);
-    *id_out = id;
     return Status::ok();
 }
 
 bool
 Database::bindDetached(std::uint64_t id)
 {
-    SpinGuard g(ctxMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.boundToken != 0)
+    ThreadSlot &slot = threadSlot();
+    SpinGuard g(sessionsMu_);
+    auto it = sessions_.find(id);
+    if (it == sessions_.end() || it->second->bound || !parkKilled(slot))
         return false;
-    auto &slot = ctxs_[threadToken()];
-    if (slot && slot->explicitTx)
-        return false; // binder has its own open transaction
-    it->second.stash = std::move(slot);
-    slot = std::move(it->second.ctx);
-    it->second.boundToken = threadToken();
-    g_ctxCache = CtxCache{};
+    it->second->bound = true;
+    slot.bound = it->second.get();
     return true;
 }
 
 void
 Database::unbindDetached(std::uint64_t id)
 {
-    SpinGuard g(ctxMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.boundToken != threadToken())
+    ThreadSlot &slot = threadSlot();
+    SpinGuard g(sessionsMu_);
+    auto it = sessions_.find(id);
+    if (it == sessions_.end() || slot.bound != it->second.get())
         fatal("db: unbind of a session not bound to this thread");
-    auto &slot = ctxs_[threadToken()];
-    it->second.ctx = std::move(slot);
-    slot = std::move(it->second.stash);
-    it->second.boundToken = 0;
-    g_ctxCache = CtxCache{};
-}
-
-std::uint64_t
-Database::detachCurrentTx()
-{
-    SpinGuard g(ctxMu_);
-    auto it = ctxs_.find(threadToken());
-    if (it == ctxs_.end() || !it->second || !it->second->explicitTx)
-        fatal("db: detach without an open transaction");
-    std::uint64_t id =
-        detachedIdCounter_.fetch_add(1, std::memory_order_relaxed);
-    DetachedSession &s = detached_[id];
-    s.ctx = std::move(it->second);
-    g_ctxCache = CtxCache{};
-    return id;
+    slot.bound->bound = false;
+    slot.bound = nullptr;
 }
 
 std::unique_ptr<Database::TxContext>
-Database::takeDetached(std::uint64_t id)
+Database::takeSession(std::uint64_t id)
 {
-    SpinGuard g(ctxMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end())
-        fatal("db: unknown detached session");
-    if (it->second.boundToken != 0)
-        fatal("db: finishing a detached session while it is bound");
-    std::unique_ptr<TxContext> ctx = std::move(it->second.ctx);
-    detached_.erase(it);
+    // Not threadSlot(): a drainer or pool thread finishing a parked
+    // session claims no home shard.
+    ThreadSlot &slot = slots_.get();
+    SpinGuard g(sessionsMu_);
+    auto it = sessions_.find(id);
+    if (it == sessions_.end())
+        return nullptr;
+    if (it->second->bound) {
+        if (slot.bound != it->second.get())
+            return nullptr;
+        slot.bound = nullptr;
+        it->second->bound = false;
+    }
+    std::unique_ptr<TxContext> ctx = std::move(it->second);
+    sessions_.erase(it);
     return ctx;
 }
 
 Status
 Database::commitDetached(std::uint64_t id)
 {
-    return finishTx(*takeDetached(id), true);
+    std::unique_ptr<TxContext> ctx = takeSession(id);
+    return ctx ? finishTx(*ctx, true) : unknownSession();
 }
 
 Status
 Database::rollbackDetached(std::uint64_t id)
 {
-    return finishTx(*takeDetached(id), false);
+    std::unique_ptr<TxContext> ctx = takeSession(id);
+    return ctx ? finishTx(*ctx, false) : unknownSession();
 }
 
 void
 Database::commitDetachedAsync(std::uint64_t id,
                               std::function<void(Status)> done)
 {
-    std::unique_ptr<TxContext> ctx = takeDetached(id);
-    if (!ctx->explicitTx) {
-        done(finishTx(*ctx, true)); // engine-aborted or finished
+    std::shared_ptr<TxContext> ctx = takeSession(id);
+    if (!ctx || !ctx->explicitTx) {
+        done(ctx ? finishTx(*ctx, true) : unknownSession());
         return;
     }
-    ctx->explicitTx = false;
-    TxContext *raw = ctx.release();
-    commitTxAsync(*raw, [raw, done](Status s, std::exception_ptr) {
-        std::unique_ptr<TxContext> reclaim(raw);
+    commitTxAsync(*ctx, [ctx, done](Status s, std::exception_ptr) {
         done(s);
     });
 }
@@ -503,8 +463,8 @@ Database::commitTxAsync(TxContext &ctx, StepFn done)
 std::size_t
 Database::detachedCount() const
 {
-    SpinGuard g(ctxMu_);
-    return detached_.size();
+    SpinGuard g(sessionsMu_);
+    return sessions_.size();
 }
 
 unsigned
@@ -562,11 +522,10 @@ Database::currentTxShard()
 }
 
 Word
-Database::currentSnapshot() const
+Database::currentSnapshot()
 {
-    TxContext *ctx = txContextIfAny();
-    return (ctx != nullptr && ctx->explicitTx) ? ctx->snapshot
-                                               : kNoSnapshot;
+    const TxContext *s = slots_.get().bound;
+    return s != nullptr && s->explicitTx ? s->snapshot : kNoSnapshot;
 }
 
 std::size_t
@@ -637,9 +596,7 @@ bool
 Database::fetchRecord(const std::string &table, std::int64_t pk,
                       DbRecord *out)
 {
-    PhaseScope scope(timer_, "database");
-    std::size_t t = tableIndexOrDie(table);
-    return rows_->fetch(t, pk, &out->values, currentSnapshot());
+    return fetchRecordAt(table, pk, out, currentSnapshot());
 }
 
 bool
@@ -696,12 +653,7 @@ Database::scanEq(const std::string &table, const std::string &column,
                  const std::function<void(const std::vector<DbValue> &)>
                      &fn)
 {
-    PhaseScope scope(timer_, "database");
-    std::size_t t = tableIndexOrDie(table);
-    std::size_t c = catalog_.tables()[t].columnIndex(column);
-    if (c == static_cast<std::size_t>(-1))
-        fatal("db: no such column " + column);
-    rows_->scanEq(t, c, v, fn, currentSnapshot());
+    scanEqAt(table, column, v, fn, currentSnapshot());
 }
 
 bool
@@ -877,13 +829,12 @@ void
 Database::crash(CrashMode mode, std::uint64_t seed,
                 const WalShard::ResolveFn &is_committed)
 {
+    // Every session died with the power; their shard tokens are
+    // re-zeroed by recovery below.
+    slots_.clear();
     {
-        SpinGuard g(ctxMu_);
-        ctxs_.clear();
-        // Parked sessions died with the power; their shard tokens
-        // are re-zeroed by recovery below.
-        detached_.clear();
-        generation_.fetch_add(1, std::memory_order_release);
+        SpinGuard g(sessionsMu_);
+        sessions_.clear();
     }
     coordinator_->resetAfterCrash();
     // Shared clocks are reset once per member — idempotent, and the

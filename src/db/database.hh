@@ -16,36 +16,37 @@
  * transaction opened with beginTxn() groups statements, otherwise
  * each call is auto-committed.
  *
- * Transactions: beginTxn(TxnOptions) opens an explicit transaction
- * on the calling thread and returns its RAII Txn handle, whose
- * commit()/rollback() report every failure mode as a db::Status.
- * Each thread's open transaction lives in a TxContext owning one WAL
- * shard and the row write-set, so N threads run N transactions
- * concurrently. Commits drain through the group-commit coordinator
- * (batch window: DatabaseConfig::groupCommitWindowUs, or the
- * ESPRESSO_DB_GROUP_COMMIT env var in microseconds; 0 = eager).
- * Write-write conflicts across rows need no caller-side lock order:
- * a wait that closes a cycle aborts its youngest transaction with
- * StatusCode::kDeadlock. Isolation::kSnapshot gives latch-free
- * consistent reads at the transaction's begin timestamp, with
- * first-committer-wins write conflicts (StatusCode::kConflict) — see
- * db/txn.hh. Caller contracts: DDL (createTable / CREATE TABLE) and
- * crash() must not run concurrently with other statements.
+ * Transactions: every explicit transaction is one engine-owned
+ * session holding one WAL shard token and its row write-set, so N
+ * sessions run concurrently. A session is parked (reachable only by
+ * its id) or bound to exactly one thread, whose statements then run
+ * inside it; a thread's slot holds just its idle auto-commit context
+ * and a pointer to the one session bound to it.
  *
- * Detached sessions (PR 10, the wire front door): a Txn handle is
- * thread-affine by design — commit() from another thread reports
- * StatusCode::kMisuse ("foreign or stale transaction handle").
- * Network servers need the opposite: a connection's transaction must
- * hop between event-loop worker threads and commit on whichever
- * thread the group-commit drainer runs. beginDetached() opens a
- * transaction that lives in the engine (not in any thread's slot);
- * bindDetached()/unbindDetached() splice it into the calling
- * thread's slot around each statement batch, and
- * commitDetached()/commitDetachedAsync()/rollbackDetached() finish
- * it from any thread. Detached begins never block: they take a free
- * WAL shard token or fail with StatusCode::kBusy (admission
- * control), and their row-lock waits are bounded (kBusy abort) so an
- * event-loop worker can never park behind a stalled session.
+ *  - beginTxn(TxnOptions) opens a session bound to the calling thread
+ *    and returns its RAII Txn handle; Txn::commit()/rollback() unbind
+ *    and finish it through commitDetached()/rollbackDetached() and
+ *    report every failure mode as a db::Status. The begin blocks for
+ *    a WAL shard token and its row-lock waits are unbounded.
+ *  - beginDetached() opens a parked session for servers whose
+ *    connections hop between worker threads: bindDetached()/
+ *    unbindDetached() bind it around each statement batch, and
+ *    commitDetached()/commitDetachedAsync()/rollbackDetached() finish
+ *    it from any thread. It never blocks: the begin takes a free WAL
+ *    shard token or fails with StatusCode::kBusy (admission control),
+ *    and its row-lock waits are bounded (kBusy abort), so an
+ *    event-loop worker never parks behind a stalled session.
+ *
+ * Commits drain through the group-commit coordinator (batch window:
+ * DatabaseConfig::groupCommitWindowUs, or the ESPRESSO_DB_GROUP_COMMIT
+ * env var in microseconds; 0 = eager). Write-write conflicts across
+ * rows need no caller-side lock order: a wait that closes a cycle
+ * aborts its youngest transaction with StatusCode::kDeadlock.
+ * Isolation::kSnapshot gives latch-free consistent reads at the
+ * transaction's begin timestamp, with first-committer-wins write
+ * conflicts (StatusCode::kConflict) — see db/txn.hh. Caller
+ * contracts: DDL (createTable / CREATE TABLE) and crash() must not
+ * run concurrently with other statements.
  */
 
 #ifndef ESPRESSO_DB_DATABASE_HH
@@ -55,7 +56,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +64,7 @@
 #include "db/row_store.hh"
 #include "db/sql_parser.hh"
 #include "db/status.hh"
+#include "db/thread_slots.hh"
 #include "db/txn.hh"
 #include "db/wal.hh"
 #include "nvm/nvm_device.hh"
@@ -134,19 +135,17 @@ class Database
      * parsing to "transformation". */
     void setPhaseTimer(PhaseTimer *timer) { timer_ = timer; }
 
-    /** Open an explicit transaction on the calling thread and return
-     * its handle. */
+    /** Open a session bound to the calling thread (blocking for a
+     * WAL shard token) and return its handle. */
     Txn beginTxn(const TxnOptions &opts = {});
 
-    /** @name Detached transaction sessions (wire front door)
+    /** @name Sessions by id (see file comment)
      *
-     * Transferable transactions for servers whose connections hop
-     * between worker threads (see file comment). Lifecycle:
-     * beginDetached -> {bindDetached ... statements ...
+     * Lifecycle: beginDetached -> {bindDetached ... statements ...
      * unbindDetached}* -> commitDetached / commitDetachedAsync /
-     * rollbackDetached. A session is either parked (owned by the
-     * engine) or bound to exactly one thread; finishing a bound
-     * session is a fatal protocol error.
+     * rollbackDetached. A finish takes a parked session, or the one
+     * bound to the calling thread (unbinding it); an unknown session
+     * or one bound to another thread is StatusCode::kMisuse.
      */
     /// @{
     /** Open a detached transaction without blocking. kBusy (with
@@ -154,37 +153,29 @@ class Database
      * was opened; retry later. */
     Status beginDetached(const TxnOptions &opts, std::uint64_t *id_out);
 
-    /** Splice session @p id into the calling thread's transaction
-     * slot (the slot's idle context, if any, is stashed and restored
-     * on unbind). False when the id is unknown, the session is bound
-     * elsewhere, or the calling thread has its own open
-     * transaction. */
+    /** Bind parked session @p id to the calling thread. False when
+     * the id is unknown, the session is bound, or the calling thread
+     * already has an open session bound. */
     bool bindDetached(std::uint64_t id);
 
     /** Park the bound session again; fatal when @p id is not bound
      * to the calling thread. */
     void unbindDetached(std::uint64_t id);
 
-    /** Park the calling thread's open explicit transaction as a new
-     * detached session and return its id (fatal without one). The
-     * wire workers' auto-commit path: begin on the worker, execute,
-     * detach, hand the commit to the async drainer. */
-    std::uint64_t detachCurrentTx();
-
-    /** Commit/roll back a parked session from any thread. Reports
-     * kAborted/kWalFull/kDeadlock/kConflict/kBusy when the engine
-     * already rolled the transaction back mid-statement. */
+    /** Commit/roll back a session. Reports kAborted/kWalFull/
+     * kDeadlock/kConflict/kBusy when the engine already rolled the
+     * transaction back mid-statement. */
     Status commitDetached(std::uint64_t id);
     Status rollbackDetached(std::uint64_t id);
 
-    /** Commit a parked session through the group-commit batcher
-     * without blocking the calling thread; @p done fires on the
-     * drainer thread (or inline for an empty/already-aborted
-     * transaction) once the commit is durable. */
+    /** Commit a session through the group-commit batcher without
+     * blocking the calling thread; @p done fires on the drainer
+     * thread (or inline for an empty/already-aborted transaction or
+     * a kMisuse) once the commit is durable. */
     void commitDetachedAsync(std::uint64_t id,
                              std::function<void(Status)> done);
 
-    /** Parked + bound session count (leak checks). */
+    /** Open session count, Txn handles' included (leak checks). */
     std::size_t detachedCount() const;
 
     /** WAL shards whose transaction token is currently held (leak
@@ -270,7 +261,8 @@ class Database
     CommitCoordinator &commitCoordinator() { return *coordinator_; }
     SnapshotClock &snapshotClock() { return *clock_; }
 
-    /** WAL shard bound to the calling thread. */
+    /** WAL shard of the calling thread's bound session, else of its
+     * auto-commit context. */
     unsigned currentTxShard();
     /// @}
 
@@ -278,44 +270,64 @@ class Database
     friend class Txn;
     friend class ShardedDatabase;
 
-    /** Per-thread transaction state. */
+    /** One transaction context: a thread's idle auto-commit context,
+     * or an explicit transaction's session. */
     struct TxContext
     {
         unsigned shardId = 0;
+        /** An open explicit transaction; false once finished or
+         * rolled back by the engine mid-statement (then abortCode
+         * says why and the next finishTx() reports it). */
         bool explicitTx = false;
-        /** Set when the engine rolled an explicit txn back
-         * mid-statement (log full, deadlock victim, snapshot
-         * conflict); the next finishTx() reports abortCode. */
-        bool aborted = false;
         StatusCode abortCode = StatusCode::kOk;
-        Isolation isolation = Isolation::kReadUncommitted;
+        /** A session bound to some thread (see ThreadSlot::bound). */
+        bool bound = false;
         /** Snapshot timestamp (kNoSnapshot outside kSnapshot). */
         Word snapshot = kNoSnapshot;
         /** False when a sharded bracket registered the snapshot. */
         bool ownsSnapshot = false;
-        /** Begin sequence of the open (or last) transaction; ties a
-         * Txn handle to the engine-side state. */
+        /** Begin sequence of the open (or last) transaction; a
+         * session's id. */
         std::uint64_t txnSeq = 0;
         RowTxState rowTx;
     };
 
-    /** A parked transferable transaction (see beginDetached). */
-    struct DetachedSession
+    /** A thread's state in this engine. */
+    struct ThreadSlot
     {
-        /** The parked transaction (null while bound to a thread). */
-        std::unique_ptr<TxContext> ctx;
-        /** The binder's displaced idle slot context. */
-        std::unique_ptr<TxContext> stash;
-        /** Thread token of the binder (0 = parked). */
-        std::uint64_t boundToken = 0;
+        /** Auto-commit context; its shard is the thread's home shard
+         * (assigned at first use: rowTx.token != 0). */
+        TxContext idle;
+        /** The session bound to this thread (null: none). */
+        TxContext *bound = nullptr;
     };
 
-    TxContext &txContext();
-    TxContext *txContextIfAny() const;
+    /** The calling thread's slot, its home shard assigned. */
+    ThreadSlot &threadSlot();
 
-    /** Remove parked session @p id from the table (fatal when
-     * unknown or bound). */
-    std::unique_ptr<TxContext> takeDetached(std::uint64_t id);
+    /** Park @p slot's bound session if the engine killed it (its
+     * handle or owner finishes it later); true when no session is
+     * bound any more. Caller holds sessionsMu_. */
+    bool parkKilled(ThreadSlot &slot);
+
+    /** The context the calling thread's statements run in: its bound
+     * session while that is open, else its idle context. */
+    TxContext &txContext();
+
+    /** Open an explicit transaction as a new session: blocking for a
+     * WAL shard token, or (@p nowait) taking any free one and
+     * bounding row-lock waits; @p bracket_snapshot is a sharded
+     * bracket's already registered snapshot. A @p bind session
+     * starts at the calling thread's home shard and is bound to it
+     * (fatal when an open one already is); otherwise the start
+     * rotates. Null only when a nowait begin found no free token. */
+    TxContext *openSession(Isolation iso, Word bracket_snapshot,
+                           bool nowait, bool bind);
+
+    /** Remove session @p id from the table to finish it: a parked
+     * one, or the one bound to the calling thread (unbound first).
+     * Null when unknown or bound to another thread. */
+    std::unique_ptr<TxContext> takeSession(std::uint64_t id);
 
     /** @return false only in nowait mode, when no WAL shard token
      * was free (nothing was opened). nowait begins also bound the
@@ -328,19 +340,9 @@ class Database
     void commitTx(TxContext &ctx);
     void rollbackTx(TxContext &ctx);
 
-    /** Open an explicit transaction on the calling thread's context
-     * (see beginTx for @p nowait; @p bracket_snapshot is a sharded
-     * bracket's already registered snapshot). Null only when a
-     * nowait begin found no free WAL shard token. */
-    TxContext *openTx(Isolation iso,
-                      Word bracket_snapshot = kNoSnapshot,
-                      bool nowait = false);
-
-    /** The one finish path for an explicit transaction: commit or
-     * roll it back. When the engine already rolled it back
-     * mid-statement, a commit reports why (abortCode, else
-     * kAborted) and a rollback succeeds; a finished transaction is
-     * kMisuse. */
+    /** The one finish path for a taken session: commit or roll it
+     * back. When the engine already rolled it back mid-statement, a
+     * commit reports why (abortCode) and a rollback succeeds. */
     Status finishTx(TxContext &ctx, bool commit);
 
     /** Post-durable-commit bookkeeping: allocate + publish the
@@ -351,10 +353,6 @@ class Database
      * shard release (a 2PC member's, once its finish is durable). */
     void endTxCommon(TxContext &ctx);
 
-    /** Finish the calling thread's transaction for the Txn handle
-     * minted with @p seq (kMisuse for a foreign or stale handle). */
-    Status finishHandle(std::uint64_t seq, bool commit);
-
     /** True once this device's crash injector fired: the power is
      * gone and rollback is crash() recovery's job. */
     bool powerLost();
@@ -363,13 +361,12 @@ class Database
      * the simulated power failure that killed its drain. */
     using StepFn = std::function<void(Status, std::exception_ptr)>;
 
-    /** Commit @p ctx's transaction (already marked finished) through
-     * the group-commit drainer; @p done fires on the drainer, or
-     * inline when nothing was logged. The caller keeps @p ctx alive
-     * until then. */
+    /** Commit taken session @p ctx through the group-commit drainer;
+     * @p done fires on the drainer, or inline when nothing was
+     * logged. The caller keeps @p ctx alive until then. */
     void commitTxAsync(TxContext &ctx, StepFn done);
 
-    /** @name 2PC member steps on an explicit context (driven by
+    /** @name 2PC member steps on a taken session (driven by
      * ShardedDatabase's commit chain, from any thread) */
     /// @{
     /** True when @p ctx's transaction logged anything: only then
@@ -397,9 +394,9 @@ class Database
     void retireEmptyTx(TxContext &ctx);
     /// @}
 
-    /** Snapshot of the calling thread's open transaction (or
+    /** Snapshot of the calling thread's open bound session (or
      * kNoSnapshot). */
-    Word currentSnapshot() const;
+    Word currentSnapshot();
 
     /** Run @p fn inside the calling thread's transaction, opening a
      * statement-scoped one when none is active; a WAL-full error,
@@ -426,30 +423,22 @@ class Database
     /** Owned clock when no shared one was passed in. */
     std::unique_ptr<SnapshotClock> ownedClock_;
     SnapshotClock *clock_ = nullptr;
-    /** Begin sequences for TxnCtrl::seq / Txn handles (never 0). */
+    /** Begin sequences for TxnCtrl::seq and session ids (never 0). */
     std::atomic<std::uint64_t> txnSeqCounter_{1};
 
     /** DDL serialization (DDL vs DML concurrency is the caller's
      * contract, matching the catalog's). */
     std::mutex ddlMu_;
 
-    mutable SpinLock ctxMu_;
-    /** Keyed by a never-recycled per-thread token (std::thread::id
-     * values can be reused, which would hand a new thread a dead
-     * thread's transaction state). Entries are not reaped; growth is
-     * bounded by the number of threads that ever touch this
-     * database. */
+    ThreadSlots<ThreadSlot> slots_;
+    /** Every open session by id (under sessionsMu_); a bound one is
+     * also pointed to by its thread's slot. */
+    mutable SpinLock sessionsMu_;
     std::unordered_map<std::uint64_t, std::unique_ptr<TxContext>>
-        ctxs_;
-    /** Detached sessions by id (under ctxMu_). */
-    std::unordered_map<std::uint64_t, DetachedSession> detached_;
-    std::atomic<std::uint64_t> detachedIdCounter_{1};
+        sessions_;
+    /** Rotating start shard for sessions not bound at birth, and
+     * the home shard of each new thread. */
     std::atomic<unsigned> nextShard_{0};
-
-    /** Identity for the thread-local context cache. */
-    std::uint64_t serial_;
-    /** Bumped by crash() so stale cached contexts revalidate. */
-    std::atomic<std::uint64_t> generation_{0};
 };
 
 } // namespace db

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "db/wal.hh"
@@ -17,25 +16,29 @@ namespace db {
 
 namespace {
 
-std::atomic<std::uint64_t> g_shardedSerial{1};
+Status
+unknownBracket()
+{
+    return Status::make(StatusCode::kMisuse,
+                        "sharded db: unknown bracket, or bound to "
+                        "another thread");
+}
 
 } // namespace
 
-/** One bracket's commit in flight: the bracket, its members'
- * contexts, and the 2PC bookkeeping shared by the continuations that
+/** One bracket's finish in flight: the bracket, its taken member
+ * sessions, and the 2PC bookkeeping shared by the continuations that
  * run on the members' drainers. */
 struct ShardedDatabase::CommitChain
 {
     struct Member
     {
         unsigned idx = 0;
-        Database::TxContext *ctx = nullptr;
-        /** A detached bracket's member context (null: a thread's). */
-        std::unique_ptr<Database::TxContext> owned;
+        std::unique_ptr<Database::TxContext> ctx;
         bool prepared = false; ///< logged anything: prepare + finish
     };
 
-    TxState st;
+    Bracket br;
     std::vector<Member> members;
     Word txnId = 0;
     unsigned slot = kNoCoordSlot;
@@ -64,8 +67,7 @@ struct ShardedDatabase::CommitChain
 
 ShardedDatabase::ShardedDatabase(const ShardedDatabaseConfig &cfg,
                                  NvmConfig nvm_cfg)
-    : cfg_(cfg), nvmCfg_(nvm_cfg),
-      serial_(g_shardedSerial.fetch_add(1, std::memory_order_relaxed))
+    : cfg_(cfg), nvmCfg_(nvm_cfg)
 {
     unsigned shards =
         cfg.shards ? cfg.shards : envUnsigned("ESPRESSO_SHARDS", 1);
@@ -106,67 +108,64 @@ ShardedDatabase::publishRouting(ShardRouter committed, ShardRouter next,
     routing_.store(raw, std::memory_order_release);
 }
 
-ShardedDatabase::TxState &
-ShardedDatabase::txState() const
-{
-    static thread_local std::unordered_map<std::uint64_t, TxState> map;
-    TxState &st = map[serial_];
-    std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (st.gen != gen) {
-        st = TxState{};
-        st.gen = gen;
-    }
-    // Size by the atomic listed-member count, not shards_.size()
-    // (push_back during grow would race the read). An open bracket
-    // keeps its begun flags when the membership grows under it.
-    unsigned n = memberCount_.load(std::memory_order_acquire);
-    if (st.open) {
-        if (st.begun.size() < n)
-            st.begun.resize(n, 0);
-    } else if (st.begun.size() != n) {
-        st.begun.assign(n, 0);
-    }
-    return st;
-}
-
 void
-ShardedDatabase::joinShard(TxState &st, unsigned idx)
+ShardedDatabase::joinShard(Bracket *b, unsigned idx)
 {
-    if (!st.open || st.begun[idx])
+    if (b == nullptr || !b->open)
         return;
-    // A wire (nowait) bracket takes a free member WAL shard token or
-    // aborts whole — the callers' catch blocks run noteMemberAbort,
-    // so the bracket dies cleanly kBusy.
-    if (shards_[idx]->openTx(st.isolation, st.snapshot, st.nowait) ==
-        nullptr)
+    // An open bracket keeps its members when the membership grows
+    // under it.
+    if (b->members.size() <= idx)
+        b->members.resize(idx + 1, 0);
+    if (b->members[idx] != 0)
+        return;
+    // A nowait bracket takes a free member WAL shard token or aborts
+    // whole — the callers' catch blocks run noteMemberAbort, so the
+    // bracket dies cleanly kBusy.
+    Database::TxContext *s = shards_[idx]->openSession(
+        b->isolation, b->snapshot, b->nowait, /*bind=*/true);
+    if (s == nullptr)
         throw TxnAbortError(StatusCode::kBusy,
                             "sharded db: member undo-log shards are "
                             "saturated; bracket aborted");
-    st.begun[idx] = 1;
+    b->members[idx] = s->txnSeq;
 }
 
 void
-ShardedDatabase::abortBracket(TxState &st)
+ShardedDatabase::noteMemberAbort(Bracket *b, StatusCode code)
 {
-    // A member rollback also consumes a member the engine already
-    // rolled back (the aborted flag), so one loop covers both the
-    // explicit-rollback and the engine-abort paths.
-    for (unsigned i = 0; i < st.begun.size(); ++i) {
-        if (st.begun[i])
-            (void)shards_[i]->finishTx(shards_[i]->txContext(), false);
-        st.begun[i] = 0;
+    // The throwing member already rolled its transaction back (its
+    // session reports so to the rollback below, which disposes of
+    // it); a cross-shard bracket cannot outlive a half-aborted
+    // member.
+    if (b == nullptr || !b->open)
+        return;
+    for (unsigned i = 0; i < b->members.size(); ++i)
+        if (b->members[i] != 0)
+            (void)shards_[i]->rollbackDetached(b->members[i]);
+    b->members.assign(b->members.size(), 0);
+    b->abortCode = code;
+    closeBracket(*b);
+}
+
+bool
+ShardedDatabase::parkKilled(ThreadSlot &slot)
+{
+    if (slot.bound != nullptr && !slot.bound->open) {
+        slot.bound->bound = false;
+        slot.bound = nullptr;
     }
-    closeBracket(st);
+    return slot.bound == nullptr;
 }
 
 void
-ShardedDatabase::closeBracket(TxState &st)
+ShardedDatabase::closeBracket(Bracket &b)
 {
-    if (st.snapshot != kNoSnapshot) {
-        clock_.endSnapshot(st.snapshot);
-        st.snapshot = kNoSnapshot;
+    if (b.snapshot != kNoSnapshot) {
+        clock_.endSnapshot(b.snapshot);
+        b.snapshot = kNoSnapshot;
     }
-    st.open = false;
+    b.open = false;
     activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -182,20 +181,6 @@ void
 ShardedDatabase::releaseBrackets()
 {
     bracketBarrier_.store(false, std::memory_order_release);
-}
-
-void
-ShardedDatabase::noteMemberAbort(TxState &st, StatusCode code)
-{
-    // The throwing member already rolled its sub-transaction back
-    // (and flagged its context aborted — the rollback in
-    // abortBracket consumes that flag); a cross-shard bracket
-    // cannot outlive a half-aborted member.
-    if (st.open) {
-        abortBracket(st);
-        st.aborted = true;
-        st.abortCode = code;
-    }
 }
 
 bool
@@ -229,107 +214,84 @@ ShardedDatabase::releaseCoordSlot(unsigned slot)
     return nullptr;
 }
 
-ShardedDatabase::TxState &
-ShardedDatabase::beginBracket(const TxnOptions &opts)
+std::uint64_t
+ShardedDatabase::openBracket(const TxnOptions &opts, bool nowait,
+                             ThreadSlot *bind_to)
 {
-    TxState &st = txState();
-    if (st.open)
-        fatal("sharded db: nested transactions are not supported");
     // Bracket-drain fence: membership changes quiesce open brackets
-    // at the declare and commit points; park admission while the
-    // barrier is up, and back out of a raced admission so a quiesce
-    // that observed zero never sees a late bracket slip through.
+    // at the declare and commit points. Admission parks while the
+    // barrier is up — or, nowait, turns away instead of parking an
+    // event-loop worker on the fence — and backs out of a raced
+    // admission so a quiesce that observed zero never sees a late
+    // bracket slip through.
     for (;;) {
-        while (bracketBarrier_.load(std::memory_order_acquire))
+        while (bracketBarrier_.load(std::memory_order_acquire)) {
+            if (nowait)
+                return 0;
             std::this_thread::yield();
+        }
         activeBrackets_.fetch_add(1, std::memory_order_acq_rel);
         if (!bracketBarrier_.load(std::memory_order_acquire))
             break;
         activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
     }
-    openBracket(st, opts);
-    return st;
-}
-
-void
-ShardedDatabase::openBracket(TxState &st, const TxnOptions &opts)
-{
-    st.aborted = false;
-    st.abortCode = StatusCode::kOk;
-    st.isolation = opts.isolation;
-    st.snapshot = opts.isolation == Isolation::kSnapshot
-                      ? clock_.beginSnapshot()
-                      : kNoSnapshot;
-    st.seq = seqCounter_.fetch_add(1, std::memory_order_relaxed);
-    st.open = true;
+    Bracket b;
+    b.isolation = opts.isolation;
+    b.snapshot = opts.isolation == Isolation::kSnapshot
+                     ? clock_.beginSnapshot()
+                     : kNoSnapshot;
+    b.nowait = nowait;
+    b.bound = bind_to != nullptr;
+    b.members.assign(memberCount_.load(std::memory_order_acquire), 0);
+    std::uint64_t id = seqCounter_.fetch_add(1, std::memory_order_relaxed);
+    SpinGuard g(bracketsMu_);
+    Bracket &placed = brackets_.emplace(id, std::move(b)).first->second;
+    if (bind_to != nullptr)
+        bind_to->bound = &placed;
+    return id;
 }
 
 Txn
 ShardedDatabase::beginTxn(const TxnOptions &opts)
 {
-    TxState &st = beginBracket(opts);
-    return Txn(nullptr, this, st.seq, st.snapshot);
-}
-
-Status
-ShardedDatabase::commitBracket(TxState &st)
-{
-    std::vector<unsigned> members;
-    for (unsigned i = 0; i < st.begun.size(); ++i)
-        if (st.begun[i])
-            members.push_back(i);
-
-    if (members.size() <= 1) {
-        // Zero or one member: the member's own commit is already
-        // atomic and durable; no coordinator round trip.
-        Status s = Status::ok();
-        for (unsigned i : members) {
-            s = shards_[i]->finishTx(shards_[i]->txContext(), true);
-            st.begun[i] = 0;
-        }
-        closeBracket(st);
-        return s;
+    ThreadSlot &slot = slots_.get();
+    {
+        SpinGuard g(bracketsMu_);
+        if (!parkKilled(slot))
+            fatal("sharded db: nested transactions are not supported");
     }
-
-    // Cross-shard: the chain takes the bracket over from the thread's
-    // slot (and closes it); the member contexts stay in their thread
-    // slots, which this thread does not touch until the chain is done.
-    auto c = std::make_shared<CommitChain>();
-    c->st = st;
-    for (unsigned i : members) {
-        c->members.emplace_back();
-        c->members.back().idx = i;
-        c->members.back().ctx = &shards_[i]->txContext();
-        st.begun[i] = 0;
-    }
-    st.open = false;
-    st.snapshot = kNoSnapshot;
-    return commitAndWait(std::move(c));
+    std::uint64_t id = openBracket(opts, /*nowait=*/false, &slot);
+    return Txn(nullptr, this, id, slot.bound->snapshot);
 }
 
 ShardedDatabase::ChainPtr
-ShardedDatabase::takeDetachedChain(std::uint64_t id)
+ShardedDatabase::takeChain(std::uint64_t id)
 {
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.bound)
-        return nullptr;
-    DetachedBracket &b = it->second;
+    ThreadSlot &slot = slots_.get();
     auto c = std::make_shared<CommitChain>();
-    c->st = std::move(b.st);
-    for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
-        if (b.memberSessions[i] == 0)
+    {
+        SpinGuard g(bracketsMu_);
+        auto it = brackets_.find(id);
+        if (it == brackets_.end() ||
+            (it->second.bound && slot.bound != &it->second))
+            return nullptr;
+        if (it->second.bound)
+            slot.bound = nullptr;
+        c->br = std::move(it->second);
+        brackets_.erase(it);
+    }
+    // Member sessions are bound wherever the bracket was: taking them
+    // unbinds them too.
+    for (unsigned i = 0; i < c->br.members.size(); ++i) {
+        if (c->br.members[i] == 0)
             continue;
-        std::unique_ptr<Database::TxContext> ctx =
-            shards_[i]->takeDetached(b.memberSessions[i]);
-        if (i >= c->st.begun.size() || !c->st.begun[i])
-            continue; // already finished by an engine abort: dispose
         c->members.emplace_back();
         c->members.back().idx = i;
-        c->members.back().ctx = ctx.get();
-        c->members.back().owned = std::move(ctx);
+        c->members.back().ctx = shards_[i]->takeSession(c->br.members[i]);
+        if (!c->members.back().ctx)
+            fatal("sharded db: a member session was lost under an open "
+                  "bracket");
     }
-    detached_.erase(it);
     return c;
 }
 
@@ -337,11 +299,9 @@ void
 ShardedDatabase::commitDetachedAsync(std::uint64_t id,
                                      std::function<void(Status)> done)
 {
-    ChainPtr c = takeDetachedChain(id);
+    ChainPtr c = takeChain(id);
     if (!c) {
-        done(Status::make(StatusCode::kMisuse,
-                          "sharded db: unknown or bound detached "
-                          "transaction"));
+        done(unknownBracket());
         return;
     }
     c->done = [done = std::move(done)](Status s, std::exception_ptr) {
@@ -353,12 +313,30 @@ ShardedDatabase::commitDetachedAsync(std::uint64_t id,
 Status
 ShardedDatabase::commitDetached(std::uint64_t id)
 {
-    ChainPtr c = takeDetachedChain(id);
+    ChainPtr c = takeChain(id);
     if (!c)
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: unknown or bound detached "
-                            "transaction");
-    return commitAndWait(std::move(c));
+        return unknownBracket();
+    if (c->members.size() != 1)
+        return commitAndWait(std::move(c)); // 0 members: inline
+    // One member: its own commit is already atomic and durable; it
+    // runs here, with no coordinator or drainer hop.
+    Status s = shards_[c->members[0].idx]->finishTx(*c->members[0].ctx,
+                                                     true);
+    closeBracket(c->br);
+    return s;
+}
+
+Status
+ShardedDatabase::rollbackDetached(std::uint64_t id)
+{
+    ChainPtr c = takeChain(id);
+    if (!c)
+        return unknownBracket();
+    for (CommitChain::Member &m : c->members)
+        (void)shards_[m.idx]->finishTx(*m.ctx, false);
+    if (c->br.open)
+        closeBracket(c->br);
+    return Status::ok();
 }
 
 Status
@@ -387,17 +365,17 @@ ShardedDatabase::commitAndWait(ChainPtr c)
 void
 ShardedDatabase::startCommit(ChainPtr c)
 {
-    TxState &st = c->st;
-    if (!st.open) {
+    if (!c->br.open) {
         // Engine-aborted mid-statement: report why; no member left.
-        c->done(finishBracket(st, true), nullptr);
+        c->done(Status::make(c->br.abortCode, "sharded db: transaction "
+                                              "was rolled back by the "
+                                              "engine"),
+                nullptr);
         return;
     }
-    for (CommitChain::Member &m : c->members)
-        m.ctx->explicitTx = false;
     if (c->members.empty()) {
         // Read-only: nothing to make durable, no fence, no hop.
-        closeBracket(st);
+        closeBracket(c->br);
         c->done(Status::ok(), nullptr);
         return;
     }
@@ -406,7 +384,7 @@ ShardedDatabase::startCommit(ChainPtr c)
             CommitChain::Member &m = c->members.front();
             shards_[m.idx]->commitTxAsync(
                 *m.ctx, [this, c](Status s, std::exception_ptr err) {
-                    closeBracket(c->st);
+                    closeBracket(c->br);
                     c->done(std::move(s), std::move(err));
                 });
             return;
@@ -530,7 +508,7 @@ ShardedDatabase::onFinished(const ChainPtr &c, std::exception_ptr err)
     }
     for (CommitChain::Member &m : c->members)
         shards_[m.idx]->endTxCommon(*m.ctx);
-    closeBracket(c->st);
+    closeBracket(c->br);
     c->done(Status::ok(), nullptr);
     if (next)
         decide(next);
@@ -552,46 +530,12 @@ ShardedDatabase::failChain(const ChainPtr &c)
         SpinGuard g(c->errMu);
         err = c->err;
     }
-    closeBracket(c->st);
+    closeBracket(c->br);
     c->done(Status::make(StatusCode::kAborted,
                          "sharded db: commit failed: power lost"),
             err);
     if (next)
         decide(next);
-}
-
-Status
-ShardedDatabase::finishBracket(TxState &st, bool commit)
-{
-    if (!st.open) {
-        if (!st.aborted)
-            return Status::make(StatusCode::kMisuse,
-                                "sharded db: transaction already "
-                                "finished");
-        st.aborted = false;
-        if (!commit)
-            return Status::ok(); // already rolled back, as requested
-        StatusCode code = st.abortCode == StatusCode::kOk
-                              ? StatusCode::kAborted
-                              : st.abortCode;
-        return Status::make(code, "sharded db: transaction was rolled "
-                                  "back by the engine");
-    }
-    if (commit)
-        return commitBracket(st);
-    abortBracket(st);
-    return Status::ok();
-}
-
-Status
-ShardedDatabase::finishHandle(std::uint64_t seq, bool commit)
-{
-    TxState &st = txState();
-    if (st.seq != seq)
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: foreign or stale transaction "
-                            "handle");
-    return finishBracket(st, commit);
 }
 
 bool
@@ -610,132 +554,53 @@ Status
 ShardedDatabase::beginDetached(const TxnOptions &opts,
                                std::uint64_t *id_out)
 {
-    *id_out = 0;
-    // The nowait flavor of beginBracket's barrier dance: a draining
-    // membership change turns new wire brackets away instead of
-    // parking an event-loop worker on the fence.
-    if (bracketBarrier_.load(std::memory_order_acquire))
+    *id_out = openBracket(opts, /*nowait=*/true, nullptr);
+    if (*id_out == 0)
         return Status::make(StatusCode::kBusy,
                             "sharded db: membership change draining "
                             "brackets; retry");
-    activeBrackets_.fetch_add(1, std::memory_order_acq_rel);
-    if (bracketBarrier_.load(std::memory_order_acquire)) {
-        activeBrackets_.fetch_sub(1, std::memory_order_acq_rel);
-        return Status::make(StatusCode::kBusy,
-                            "sharded db: membership change draining "
-                            "brackets; retry");
-    }
-
-    DetachedBracket b;
-    unsigned n = memberCount_.load(std::memory_order_acquire);
-    b.st.gen = generation_.load(std::memory_order_acquire);
-    b.st.begun.assign(n, 0);
-    b.st.nowait = true;
-    openBracket(b.st, opts);
-    b.memberSessions.assign(n, 0);
-
-    std::uint64_t id = b.st.seq;
-    SpinGuard g(detachedMu_);
-    detached_.emplace(id, std::move(b));
-    *id_out = id;
     return Status::ok();
 }
 
 bool
 ShardedDatabase::bindDetached(std::uint64_t id)
 {
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || it->second.bound)
+    ThreadSlot &slot = slots_.get();
+    SpinGuard g(bracketsMu_);
+    auto it = brackets_.find(id);
+    if (it == brackets_.end() || it->second.bound || !parkKilled(slot))
         return false;
-    TxState &slot = txState();
-    if (slot.open)
-        return false; // binder has its own open bracket
-    DetachedBracket &b = it->second;
-    std::uint64_t gen = slot.gen;
-    slot = b.st;
-    slot.gen = gen;
-    for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
-        if (b.memberSessions[i] == 0)
-            continue;
-        if (!shards_[i]->bindDetached(b.memberSessions[i]))
+    Bracket &b = it->second;
+    for (unsigned i = 0; i < b.members.size(); ++i)
+        if (b.members[i] != 0 && !shards_[i]->bindDetached(b.members[i]))
             fatal("sharded db: member session bind failed");
-    }
     b.bound = true;
+    slot.bound = &b;
     return true;
 }
 
 void
 ShardedDatabase::unbindDetached(std::uint64_t id)
 {
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    if (it == detached_.end() || !it->second.bound)
-        fatal("sharded db: unbind of an unbound bracket");
-    DetachedBracket &b = it->second;
-    TxState &slot = txState();
-    if (b.memberSessions.size() < slot.begun.size())
-        b.memberSessions.resize(slot.begun.size(), 0);
-    for (unsigned i = 0; i < slot.begun.size(); ++i) {
-        bool session = b.memberSessions[i] != 0;
-        if (slot.begun[i] && session) {
-            shards_[i]->unbindDetached(b.memberSessions[i]);
-        } else if (slot.begun[i] && !session) {
-            // Joined while bound: park the member transaction the
-            // join opened on this thread.
-            b.memberSessions[i] = shards_[i]->detachCurrentTx();
-        } else if (!slot.begun[i] && session) {
-            // The engine aborted the bracket mid-statement while
-            // bound: the member already rolled back on this thread.
-            // Park the finished context and dispose of the session.
-            shards_[i]->unbindDetached(b.memberSessions[i]);
-            (void)shards_[i]->rollbackDetached(b.memberSessions[i]);
-            b.memberSessions[i] = 0;
-        }
-    }
-    b.st = slot;
-    TxState fresh;
-    fresh.gen = slot.gen;
-    fresh.begun.assign(slot.begun.size(), 0);
-    slot = std::move(fresh);
+    ThreadSlot &slot = slots_.get();
+    SpinGuard g(bracketsMu_);
+    auto it = brackets_.find(id);
+    if (it == brackets_.end() || slot.bound != &it->second)
+        fatal("sharded db: unbind of a bracket not bound to this "
+              "thread");
+    Bracket &b = it->second;
+    for (unsigned i = 0; i < b.members.size(); ++i)
+        if (b.members[i] != 0)
+            shards_[i]->unbindDetached(b.members[i]);
     b.bound = false;
-}
-
-Status
-ShardedDatabase::rollbackDetached(std::uint64_t id)
-{
-    if (!bindDetached(id))
-        return Status::make(StatusCode::kMisuse,
-                            "sharded db: unknown or bound detached "
-                            "transaction");
-    Status s = finishBracket(txState(), false);
-
-    SpinGuard g(detachedMu_);
-    auto it = detached_.find(id);
-    DetachedBracket &b = it->second;
-    for (unsigned i = 0; i < b.memberSessions.size(); ++i) {
-        if (b.memberSessions[i] == 0)
-            continue;
-        // The member transaction is finished (abortBracket closed
-        // every begun member); park the spent context and dispose of
-        // the session entry.
-        shards_[i]->unbindDetached(b.memberSessions[i]);
-        (void)shards_[i]->rollbackDetached(b.memberSessions[i]);
-    }
-    TxState &slot = txState();
-    TxState fresh;
-    fresh.gen = slot.gen;
-    fresh.begun.assign(slot.begun.size(), 0);
-    slot = std::move(fresh);
-    detached_.erase(it);
-    return s;
+    slot.bound = nullptr;
 }
 
 std::size_t
 ShardedDatabase::detachedCount() const
 {
-    SpinGuard g(detachedMu_);
-    return detached_.size();
+    SpinGuard g(bracketsMu_);
+    return brackets_.size();
 }
 
 unsigned
@@ -767,15 +632,15 @@ ShardedDatabase::pkOf(const std::string &table, const DbRecord &record)
     return record.values[schema->pkColumn].i;
 }
 
-void
-ShardedDatabase::persistRecord(const std::string &table,
-                               const DbRecord &record)
+template <typename Probe, typename Last>
+bool
+ShardedDatabase::routed(std::int64_t pk, bool write, Probe &&probe,
+                        Last &&last)
 {
-    std::int64_t pk = pkOf(table, record);
     const DbRouting &rt = routingRef();
     unsigned nidx =
         rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    TxState &st = txState();
+    Bracket *b = write ? boundBracket() : nullptr;
     try {
         if (rt.migrating) {
             unsigned oidx = rt.committed.shardForKey(
@@ -783,132 +648,72 @@ ShardedDatabase::persistRecord(const std::string &table,
             if (oidx != nidx) {
                 // Mid-migration a remapped row lives at exactly one
                 // of its two homes (movers delete-source and insert-
-                // dest in one 2PC bracket): update it wherever it
-                // is. A miss at both probes means a fresh insert —
-                // or a row that moved between the probes, which the
-                // final new-home upsert catches via its own
-                // update-else-insert.
-                joinShard(st, nidx);
-                joinShard(st, oidx);
-                if (shards_[nidx]->updateRecord(table, record))
-                    return;
-                if (shards_[oidx]->updateRecord(table, record))
-                    return;
-                shards_[nidx]->persistRecord(table, record);
-                return;
+                // dest in one 2PC bracket): probe both — a write
+                // locking, so it serializes with a concurrent mover
+                // on the row lock. A miss at both means the row is
+                // absent — or moved between the probes, which the
+                // final new-home call catches (moves are one-way).
+                joinShard(b, nidx);
+                joinShard(b, oidx);
+                if (probe(*shards_[nidx]) || probe(*shards_[oidx]))
+                    return true;
+                return last(*shards_[nidx]);
             }
         }
-        joinShard(st, nidx);
-        shards_[nidx]->persistRecord(table, record);
+        joinShard(b, nidx);
+        return last(*shards_[nidx]);
     } catch (const WalFullError &) {
-        noteMemberAbort(st, StatusCode::kWalFull);
+        noteMemberAbort(b, StatusCode::kWalFull);
         throw;
     } catch (const TxnAbortError &e) {
-        noteMemberAbort(st, e.code());
+        noteMemberAbort(b, e.code());
         throw;
     }
+}
+
+void
+ShardedDatabase::persistRecord(const std::string &table,
+                               const DbRecord &record)
+{
+    // Update wherever the row lives; the final new-home write is an
+    // upsert (a fresh insert when both probes missed).
+    auto update = [&](Database &m) {
+        return m.updateRecord(table, record);
+    };
+    routed(pkOf(table, record), /*write=*/true, update, [&](Database &m) {
+        m.persistRecord(table, record);
+        return true;
+    });
 }
 
 bool
 ShardedDatabase::updateRecord(const std::string &table,
                               const DbRecord &record)
 {
-    std::int64_t pk = pkOf(table, record);
-    const DbRouting &rt = routingRef();
-    unsigned nidx =
-        rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    TxState &st = txState();
-    try {
-        if (rt.migrating) {
-            unsigned oidx = rt.committed.shardForKey(
-                static_cast<std::uint64_t>(pk));
-            if (oidx != nidx) {
-                // Same two-home probe as persistRecord, minus the
-                // final insert: update-only never resurrects a row.
-                joinShard(st, nidx);
-                joinShard(st, oidx);
-                if (shards_[nidx]->updateRecord(table, record))
-                    return true;
-                if (shards_[oidx]->updateRecord(table, record))
-                    return true;
-                return shards_[nidx]->updateRecord(table, record);
-            }
-        }
-        joinShard(st, nidx);
-        return shards_[nidx]->updateRecord(table, record);
-    } catch (const WalFullError &) {
-        noteMemberAbort(st, StatusCode::kWalFull);
-        throw;
-    } catch (const TxnAbortError &e) {
-        noteMemberAbort(st, e.code());
-        throw;
-    }
+    // Update-only never resurrects a row.
+    auto update = [&](Database &m) {
+        return m.updateRecord(table, record);
+    };
+    return routed(pkOf(table, record), /*write=*/true, update, update);
 }
 
 bool
 ShardedDatabase::fetchRecord(const std::string &table, std::int64_t pk,
                              DbRecord *out)
 {
-    TxState &st = txState();
-    Word snap = (st.open && st.snapshot != kNoSnapshot) ? st.snapshot
-                                                        : kNoSnapshot;
-    const DbRouting &rt = routingRef();
-    unsigned nidx =
-        rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    auto fetch_at = [&](unsigned i) {
-        return snap != kNoSnapshot
-                   ? shards_[i]->fetchRecordAt(table, pk, out, snap)
-                   : shards_[i]->fetchRecord(table, pk, out);
+    Word snap = bracketSnapshot();
+    auto fetch = [&](Database &m) {
+        return snap != kNoSnapshot ? m.fetchRecordAt(table, pk, out, snap)
+                                   : m.fetchRecord(table, pk, out);
     };
-    if (!rt.migrating)
-        return fetch_at(nidx);
-    unsigned oidx =
-        rt.committed.shardForKey(static_cast<std::uint64_t>(pk));
-    if (oidx == nidx)
-        return fetch_at(nidx);
-    if (fetch_at(nidx))
-        return true;
-    if (fetch_at(oidx))
-        return true;
-    // The row may have streamed old-home → new-home between the two
-    // probes; moves are one-way, so a second new-home probe is
-    // definitive.
-    return fetch_at(nidx);
+    return routed(pk, /*write=*/false, fetch, fetch);
 }
 
 bool
 ShardedDatabase::deleteRecord(const std::string &table, std::int64_t pk)
 {
-    const DbRouting &rt = routingRef();
-    unsigned nidx =
-        rt.next.shardForKey(static_cast<std::uint64_t>(pk));
-    TxState &st = txState();
-    try {
-        if (rt.migrating) {
-            unsigned oidx = rt.committed.shardForKey(
-                static_cast<std::uint64_t>(pk));
-            if (oidx != nidx) {
-                // Same two-probe-plus-definitive-retry shape as
-                // fetchRecord, but locking: the delete serializes
-                // with a concurrent mover on the row lock.
-                joinShard(st, nidx);
-                joinShard(st, oidx);
-                if (shards_[nidx]->deleteRecord(table, pk))
-                    return true;
-                if (shards_[oidx]->deleteRecord(table, pk))
-                    return true;
-                return shards_[nidx]->deleteRecord(table, pk);
-            }
-        }
-        joinShard(st, nidx);
-        return shards_[nidx]->deleteRecord(table, pk);
-    } catch (const WalFullError &) {
-        noteMemberAbort(st, StatusCode::kWalFull);
-        throw;
-    } catch (const TxnAbortError &e) {
-        noteMemberAbort(st, e.code());
-        throw;
-    }
+    auto erase = [&](Database &m) { return m.deleteRecord(table, pk); };
+    return routed(pk, /*write=*/true, erase, erase);
 }
 
 void
@@ -917,15 +722,14 @@ ShardedDatabase::scanEq(
     const DbValue &v,
     const std::function<void(const std::vector<DbValue> &)> &fn)
 {
-    TxState &st = txState();
+    Word snap = bracketSnapshot();
     unsigned n = shardCount();
-    if (st.open && st.snapshot != kNoSnapshot) {
-        for (unsigned i = 0; i < n; ++i)
-            shards_[i]->scanEqAt(table, column, v, fn, st.snapshot);
-        return;
+    for (unsigned i = 0; i < n; ++i) {
+        if (snap != kNoSnapshot)
+            shards_[i]->scanEqAt(table, column, v, fn, snap);
+        else
+            shards_[i]->scanEq(table, column, v, fn);
     }
-    for (unsigned i = 0; i < n; ++i)
-        shards_[i]->scanEq(table, column, v, fn);
 }
 
 std::size_t
@@ -955,31 +759,24 @@ ShardedDatabase::moveRow(const std::string &table, unsigned src,
                          unsigned dst, std::int64_t pk)
 {
     for (unsigned attempt = 0;; ++attempt) {
-        TxState &st = beginBracket(TxnOptions{});
         try {
-            joinShard(st, src);
+            Txn t = beginTxn();
+            Bracket *b = boundBracket();
+            joinShard(b, src);
             DbRecord rec;
-            if (!shards_[src]->fetchForUpdate(table, pk, &rec)) {
-                // Deleted, or already moved (idempotent resume).
-                abortBracket(st);
-                return;
-            }
-            joinShard(st, dst);
+            if (!shards_[src]->fetchForUpdate(table, pk, &rec))
+                return; // deleted, or already moved (idempotent resume)
+            joinShard(b, dst);
             shards_[dst]->persistRecord(table, rec);
             if (!shards_[src]->deleteRecord(table, pk))
                 fatal("sharded db: repartition lost a locked row");
-            (void)commitBracket(st);
+            (void)t.commit();
             return;
         } catch (const WalFullError &) {
-            noteMemberAbort(st, StatusCode::kWalFull);
         } catch (const TxnAbortError &) {
-            // Deadlock victim against a user bracket; back off and
-            // retry (noteMemberAbort already ran via persist/delete,
-            // or the bracket is still open after fetchForUpdate).
-            if (st.open)
-                abortBracket(st);
+            // Deadlock victim against a user bracket: the unwinding
+            // handle rolled the move back; back off and retry.
         }
-        st.aborted = false; // the mover retries instead of reporting
         if (attempt > 10000)
             fatal("sharded db: repartition starved moving a row");
         std::this_thread::yield();
@@ -1053,7 +850,7 @@ ShardedDatabase::grow(unsigned added)
     if (migrPending_)
         fatal("sharded db: membership change already in flight "
               "(resumeMembershipChange after a crash)");
-    if (txState().open)
+    if (boundBracket() != nullptr)
         fatal("sharded db: grow inside a transaction bracket");
     unsigned from = memberCount_.load(std::memory_order_acquire);
     unsigned target = from + added;
@@ -1074,7 +871,7 @@ ShardedDatabase::shrink(unsigned removed)
     if (migrPending_)
         fatal("sharded db: membership change already in flight "
               "(resumeMembershipChange after a crash)");
-    if (txState().open)
+    if (boundBracket() != nullptr)
         fatal("sharded db: shrink inside a transaction bracket");
     unsigned from = memberCount_.load(std::memory_order_acquire);
     if (removed >= from)
@@ -1101,7 +898,7 @@ ShardedDatabase::crashShard(unsigned i, CrashMode mode,
 {
     if (i >= shards_.size())
         fatal("sharded db: no such shard");
-    generation_.fetch_add(1, std::memory_order_release);
+    slots_.clear();
     // Quiesced-caller contract: no bracket is mid-2PC, so the member
     // holds no prepared state and presumed abort is exact.
     shards_[i]->crash(mode, seed);
@@ -1110,17 +907,15 @@ ShardedDatabase::crashShard(unsigned i, CrashMode mode,
 void
 ShardedDatabase::crash(CrashMode mode, std::uint64_t seed)
 {
-    generation_.fetch_add(1, std::memory_order_release);
-
     // Counted brackets and a raised barrier belong to dead threads
     // (quiesced-caller contract) — including a membership change
     // killed mid-repartition, which resumeMembershipChange() rolls
-    // forward after recovery. Parked wire brackets died with the
-    // power too; their member sessions are swept by each member's
-    // own crash below.
+    // forward after recovery. Every bracket died with the power too;
+    // its member sessions are swept by each member's own crash below.
+    slots_.clear();
     {
-        SpinGuard g(detachedMu_);
-        detached_.clear();
+        SpinGuard g(bracketsMu_);
+        brackets_.clear();
     }
     bracketBarrier_.store(false, std::memory_order_release);
     activeBrackets_.store(0, std::memory_order_release);

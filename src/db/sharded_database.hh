@@ -12,12 +12,20 @@
  * its WAL, crash recovery is per-shard-local — one member's power
  * failure never corrupts the others.
  *
- * Transactions are per-thread, like Database's. A bracket opened
- * with beginTxn() may touch several shards: it lazily opens the
- * calling thread's transaction on each shard it first writes. Its
- * Txn::commit() runs the same commit chain as a detached bracket and
- * waits for it (a single-member bracket commits on the calling
- * thread).
+ * Transactions are sessions, like Database's: every bracket — a Txn
+ * from beginTxn(), or one opened by beginDetached() — is one entry in
+ * the engine's bracket table, parked or bound to exactly one thread
+ * (a thread's slot is just a pointer to its bound bracket). A bracket
+ * joins a member on its first write there by opening a member session
+ * bound alongside it, and records that session's id, so bind, unbind,
+ * abort and commit are loops over member sessions. A Txn is bound at
+ * birth; its begin parks on the membership barrier and its member
+ * joins block for WAL shard tokens. A beginDetached() bracket never
+ * blocks: the begin and every member join return kBusy instead, and
+ * its row-lock waits are bounded. Txn::commit() is commitDetached():
+ * with zero or one member the commit runs on the caller; with more it
+ * runs the chain below and waits. Only commitDetachedAsync hands a
+ * single member to its group-commit drainer.
  *
  * Cross-shard atomicity is two-phase commit, run as a continuation
  * chain through the members' group-commit drainers so no thread
@@ -192,55 +200,52 @@ class ShardedDatabase
     bool migrating() const { return routingRef().migrating; }
     /// @}
 
-    /** Open an explicit cross-shard transaction on the calling
-     * thread and return its handle. */
+    /** Open a cross-shard bracket bound to the calling thread and
+     * return its handle. */
     Txn beginTxn(const TxnOptions &opts = {});
 
-    /** @name Detached cross-shard brackets (wire front door)
+    /** @name Brackets by id (see file comment)
      *
-     * The sharded flavor of Database's detached sessions: a bracket
-     * that hops between server worker threads. Lifecycle:
-     * beginDetached -> {bindDetached ... record ops ... unbindDetached}*
-     * -> commitDetachedAsync / commitDetached / rollbackDetached.
-     * Detached brackets are nowait throughout — a member join takes a
-     * free WAL shard token or aborts the bracket kBusy, and row-lock
-     * waits are bounded — so an event-loop worker can never park
-     * behind another session. A parked bracket counts toward the
-     * bracket-drain fence, so grow()/shrink() waits for in-flight wire
-     * transactions (and beginDetached declines kBusy while a change is
-     * draining).
+     * Lifecycle: beginDetached -> {bindDetached ... record ops ...
+     * unbindDetached}* -> commitDetachedAsync / commitDetached /
+     * rollbackDetached. A finish takes a parked bracket, or the one
+     * bound to the calling thread (unbinding it); an unknown bracket
+     * or one bound to another thread is kMisuse. An open bracket
+     * counts toward the bracket-drain fence, so grow()/shrink() waits
+     * for in-flight wire transactions (and beginDetached declines
+     * kBusy while a change is draining).
      */
     /// @{
-    /** Open a parked bracket; kBusy (with *id_out == 0) while a
-     * membership change is draining brackets. */
+    /** Open a parked, never-blocking bracket; kBusy (with *id_out ==
+     * 0) while a membership change is draining brackets. */
     Status beginDetached(const TxnOptions &opts, std::uint64_t *id_out);
 
-    /** Splice bracket @p id (and its begun members' sessions) into
-     * the calling thread. False when unknown, bound elsewhere, or
-     * the thread has its own open bracket. */
+    /** Bind bracket @p id (and its member sessions) to the calling
+     * thread. False when unknown, bound, or the thread already has an
+     * open bracket bound. */
     bool bindDetached(std::uint64_t id);
 
     /** Park the bound bracket again (fatal when @p id is not bound
      * to the calling thread). */
     void unbindDetached(std::uint64_t id);
 
-    /** Commit parked bracket @p id without blocking the calling
-     * thread (see the file comment for the chain). @p done fires
-     * inline for a read-only, engine-aborted (its abort code),
-     * unknown or bound (kMisuse) bracket; otherwise on a member's
-     * drainer once the commit is durable — kAborted when a simulated
-     * power failure killed it. */
+    /** Commit bracket @p id without blocking the calling thread
+     * (see the file comment for the chain). @p done fires inline for
+     * a read-only, engine-aborted (its abort code), unknown or bound
+     * elsewhere (kMisuse) bracket; otherwise on a member's drainer
+     * once the commit is durable — kAborted when a simulated power
+     * failure killed it. */
     void commitDetachedAsync(std::uint64_t id,
                              std::function<void(Status)> done);
 
-    /** commitDetachedAsync plus a wait. */
+    /** Commit bracket @p id and wait: zero or one member commits on
+     * the calling thread, more run the commit chain. */
     Status commitDetached(std::uint64_t id);
 
-    /** Roll a parked bracket back from any thread (an engine-killed
-     * one succeeds). */
+    /** Roll bracket @p id back (an engine-killed one succeeds). */
     Status rollbackDetached(std::uint64_t id);
 
-    /** Parked + bound bracket count (leak checks). */
+    /** Open bracket count, Txn handles' included (leak checks). */
     std::size_t detachedCount() const;
 
     /** Held WAL shard tokens across all members (leak checks). */
@@ -278,8 +283,8 @@ class ShardedDatabase
     /**
      * Power-fail member @p i only; it recovers from its own WAL
      * while the other members keep serving *reads and new
-     * auto-committed work*. Every thread's bracket state is
-     * generation-invalidated, so callers must be quiesced with no
+     * auto-committed work*. Every thread's bracket slot is dropped,
+     * so callers must be quiesced with no
      * open transaction bracket anywhere (same contract as
      * Database::crash); under that contract no member holds 2PC
      * prepared state, so the member recovers presumed-abort.
@@ -312,74 +317,73 @@ class ShardedDatabase
     static constexpr unsigned kCoordSlots = 64;
     static constexpr unsigned kNoCoordSlot = ~0u;
 
-    /** Per-thread cross-shard bracket state. */
-    struct TxState
+    /** One bracket: a session of this engine (see file comment). */
+    struct Bracket
     {
-        std::uint64_t gen = 0;
-        bool open = false;
-        /** Set when the engine killed the bracket mid-statement
-         * (WAL-full, deadlock victim, snapshot conflict); the next
-         * finishBracket() reports abortCode (mirrors Database's
-         * aborted-flag contract). */
-        bool aborted = false;
+        /** False once the engine killed the bracket mid-statement
+         * (WAL-full, deadlock victim, snapshot conflict, kBusy join):
+         * its members are rolled back and a commit reports
+         * abortCode. */
+        bool open = true;
         StatusCode abortCode = StatusCode::kOk;
         Isolation isolation = Isolation::kReadUncommitted;
         /** Bracket-wide snapshot (kNoSnapshot outside kSnapshot). */
         Word snapshot = kNoSnapshot;
-        /** Begin sequence tying a Txn handle to this bracket. */
-        std::uint64_t seq = 0;
-        /** Detached (wire) bracket: member joins and row-lock waits
-         * never block — they abort the bracket kBusy instead. */
+        /** Member joins and row-lock waits never block: they abort
+         * the bracket kBusy instead (beginDetached brackets). */
         bool nowait = false;
-        std::vector<std::uint8_t> begun; ///< per-shard: sub-txn open
-    };
-
-    /** A parked transferable bracket (see beginDetached). */
-    struct DetachedBracket
-    {
-        TxState st;
-        /** Per-member Database detached-session ids (0 = none). */
-        std::vector<std::uint64_t> memberSessions;
+        /** Bound to some thread (see ThreadSlot::bound). */
         bool bound = false;
+        /** Per member index: the member session this bracket joined
+         * (0 = none). */
+        std::vector<std::uint64_t> members;
     };
 
-    /** The calling thread's bracket for this instance. Entries live
-     * in a thread_local map keyed by a never-reused serial and are
-     * not reaped on destruction — growth is bounded by the number
-     * of ShardedDatabase instances a thread ever touches (the same
-     * documented trade-off as Database::ctxs_). */
-    TxState &txState() const;
+    /** A thread's state in this engine. */
+    struct ThreadSlot
+    {
+        /** The bracket bound to this thread (null: none). */
+        Bracket *bound = nullptr;
+    };
 
-    TxState &beginBracket(const TxnOptions &opts);
+    /** The calling thread's bound bracket (null: none). */
+    Bracket *boundBracket() { return slots_.get().bound; }
 
-    /** Bracket prologue shared by beginBracket and beginDetached:
-     * isolation, snapshot, sequence, open. */
-    void openBracket(TxState &st, const TxnOptions &opts);
+    /** The bound open bracket's snapshot (else kNoSnapshot). */
+    Word
+    bracketSnapshot()
+    {
+        Bracket *b = boundBracket();
+        return b != nullptr && b->open ? b->snapshot : kNoSnapshot;
+    }
 
-    /** The one finish path for an in-thread bracket: commit or roll
-     * it back. When the engine already killed it mid-statement, a
-     * commit reports why (abortCode, else kAborted) and a rollback
-     * succeeds; a finished bracket is kMisuse. */
-    Status finishBracket(TxState &st, bool commit);
+    /** Park @p slot's bound bracket if the engine killed it (its
+     * handle or owner finishes it later); true when no bracket is
+     * bound any more. Caller holds bracketsMu_. */
+    bool parkKilled(ThreadSlot &slot);
 
-    /** Commit the calling thread's bracket: a single member commits
-     * on this thread, more run the commit chain and wait for it. */
-    Status commitBracket(TxState &st);
+    /** Admit (see the drain fence) and register a new open bracket
+     * and return its id — 0 when @p nowait and a membership change
+     * is draining brackets; @p bind_to binds it to that (the calling
+     * thread's) slot. */
+    std::uint64_t openBracket(const TxnOptions &opts, bool nowait,
+                              ThreadSlot *bind_to);
 
     /** @name The commit chain (see the file comment) */
     /// @{
     struct CommitChain;
     using ChainPtr = std::shared_ptr<CommitChain>;
 
-    /** Take parked bracket @p id and its member contexts out of the
-     * detached table (null when unknown or bound). */
-    ChainPtr takeDetachedChain(std::uint64_t id);
+    /** Take bracket @p id and its member sessions out of the tables
+     * to finish it: a parked bracket, or the one bound to the calling
+     * thread. Null when unknown or bound to another thread. */
+    ChainPtr takeChain(std::uint64_t id);
 
     /** Finish @p c by member count: inline, through the single
      * member's group commit, or as 2PC. */
     void startCommit(ChainPtr c);
 
-    /** Run @p c and wait for it; rethrows a simulated crash. */
+    /** Run @p c's 2PC and wait for it; rethrows a simulated crash. */
     Status commitAndWait(ChainPtr c);
 
     /** 2PC steps: one prepare done; publish the decision and release
@@ -390,21 +394,17 @@ class ShardedDatabase
     void failChain(const ChainPtr &c);
     /// @}
 
-    /** Roll back every begun member (abort / rollback path). */
-    void abortBracket(TxState &st);
+    /** Release @p b's snapshot and drain-fence count; mark it
+     * closed. */
+    void closeBracket(Bracket &b);
 
-    /** Shared bracket epilogue: release the snapshot, mark closed. */
-    void closeBracket(TxState &st);
+    /** Open @p b's session on member @p idx if needed (no-op outside
+     * an open bracket). */
+    void joinShard(Bracket *b, unsigned idx);
 
-    /** Open the bracket's sub-transaction on @p idx if needed. */
-    void joinShard(TxState &st, unsigned idx);
-
-    /** Kill the bracket after a member aborted mid-statement. */
-    void noteMemberAbort(TxState &st, StatusCode code);
-
-    /** Finish the calling thread's bracket for the Txn handle minted
-     * with @p seq (kMisuse for a foreign or stale handle). */
-    Status finishHandle(std::uint64_t seq, bool commit);
+    /** Kill @p b after a member aborted mid-statement: roll back
+     * every member session and close it. */
+    void noteMemberAbort(Bracket *b, StatusCode code);
 
     /** True once the coordinator's or a listed member's crash
      * injector fired (see Database::powerLost). */
@@ -420,6 +420,14 @@ class ShardedDatabase
      * the caller then resumes (returned). */
     ChainPtr releaseCoordSlot(unsigned slot);
     /// @}
+
+    /** Run a point operation on @p pk: @p last on the pk's home
+     * member, or mid-migration @p probe at the new home, then the
+     * old, then @p last at the new home. A @p write joins the
+     * calling thread's bracket to those members, and a member abort
+     * kills the bracket. */
+    template <typename Probe, typename Last>
+    bool routed(std::int64_t pk, bool write, Probe &&probe, Last &&last);
 
     /** pk column of @p table (members share one catalog shape). */
     std::int64_t pkOf(const std::string &table, const DbRecord &record);
@@ -468,7 +476,7 @@ class ShardedDatabase
     /** @name Bracket drain fence */
     /// @{
     /** Raise the barrier and wait for every counted bracket to
-     * close (new beginBracket calls park on the barrier). */
+     * close (new beginTxn calls park on the barrier). */
     void quiesceBrackets();
     void releaseBrackets();
     /// @}
@@ -497,15 +505,17 @@ class ShardedDatabase
     unsigned migrFrom_ = 0;
     unsigned migrTarget_ = 0;
 
-    /** Bracket drain fence: beginBracket parks while the barrier is
-     * up; quiesceBrackets waits for the count to hit zero. */
+    /** Bracket drain fence: beginTxn parks while the barrier is up;
+     * quiesceBrackets waits for the count to hit zero. */
     std::atomic<bool> bracketBarrier_{false};
     std::atomic<unsigned> activeBrackets_{0};
 
-    /** Parked wire brackets by id. Lock order: detachedMu_ before
-     * any member's context lock (bind/unbind take both). */
-    mutable SpinLock detachedMu_;
-    std::unordered_map<std::uint64_t, DetachedBracket> detached_;
+    /** Every open bracket by id (under bracketsMu_); a bound one is
+     * also pointed to by its thread's slot. Lock order: bracketsMu_
+     * before any member's session lock. */
+    mutable SpinLock bracketsMu_;
+    std::unordered_map<std::uint64_t, Bracket> brackets_;
+    ThreadSlots<ThreadSlot> slots_;
 
     /** One commit clock across all members: cross-shard commits get
      * one timestamp, snapshots are fabric-wide. */
@@ -529,13 +539,8 @@ class ShardedDatabase
      * for the life of the instance). */
     std::vector<std::unique_ptr<Database>> shards_;
 
-    /** Begin sequences for Txn handles (never 0). */
+    /** Bracket ids (never 0). */
     std::atomic<std::uint64_t> seqCounter_{1};
-
-    /** Identity for the thread-local bracket cache. */
-    std::uint64_t serial_;
-    /** Bumped by crash()/crashShard() so stale brackets revalidate. */
-    std::atomic<std::uint64_t> generation_{0};
 };
 
 } // namespace db

@@ -1,8 +1,8 @@
 /**
  * @file
  * db::Txn handle plumbing (the engine lives in database.cc /
- * sharded_database.cc; the handle just routes to the owner it was
- * minted by).
+ * sharded_database.cc; the handle finishes its session through the
+ * owner it was minted by).
  */
 
 #include "db/txn.hh"
@@ -37,9 +37,10 @@ Txn::finish(bool commit)
     Status s = Status::make(StatusCode::kMisuse,
                             "db: empty transaction handle");
     if (db_ != nullptr)
-        s = db_->finishHandle(seq_, commit);
+        s = commit ? db_->commitDetached(id_) : db_->rollbackDetached(id_);
     else if (sdb_ != nullptr)
-        s = sdb_->finishHandle(seq_, commit);
+        s = commit ? sdb_->commitDetached(id_)
+                   : sdb_->rollbackDetached(id_);
     if (s.code() != StatusCode::kMisuse) {
         db_ = nullptr;
         sdb_ = nullptr;
@@ -53,11 +54,11 @@ Txn::abandon() noexcept
     // Consumes an engine-side abort too; a kMisuse result (stale
     // handle) is fine to drop. Once the power is gone every device
     // event throws again, so rollback is left to crash() recovery.
+    bool power_lost = db_ != nullptr ? db_->powerLost()
+                                     : sdb_ != nullptr && sdb_->powerLost();
     try {
-        if (db_ != nullptr && !db_->powerLost())
-            (void)db_->finishHandle(seq_, false);
-        else if (sdb_ != nullptr && !sdb_->powerLost())
-            (void)sdb_->finishHandle(seq_, false);
+        if (!power_lost)
+            (void)finish(false);
     } catch (const SimulatedCrash &) {
         // The power failed during this rollback; the same holds.
     }

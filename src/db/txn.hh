@@ -2,10 +2,12 @@
  * @file
  * The explicit transaction-handle API and the MVCC clock machinery.
  *
- * An RAII db::Txn handle carrying TxnOptions{isolation} is the one
- * way to run an in-thread transaction on a Database or a
- * ShardedDatabase; transactions that hop threads use the engines'
- * detached sessions instead.
+ * Every explicit transaction on a Database or a ShardedDatabase is
+ * one engine-owned session. An RAII db::Txn handle carrying
+ * TxnOptions{isolation} is a session bound to the thread that began
+ * it; sessions that hop threads are driven by id instead
+ * (beginDetached, bind/unbindDetached, commit/rollbackDetached), and
+ * a Txn finishes through the same commit/rollback path.
  *
  * Isolation levels:
  *  - kReadUncommitted (default, the pre-PR-6 behavior): reads never
@@ -240,13 +242,13 @@ class SnapshotClock
 };
 
 /**
- * An explicit transaction handle. Move-only and thread-affine: it
- * must be committed/rolled back on the thread that began it (the
- * engine's transaction state is per-thread); a finish from another
- * thread reports kMisuse and leaves the handle open. Destroying an
- * open handle rolls the transaction back — unless the power is gone
- * (a SimulatedCrash is unwinding), in which case crash() recovery
- * rolls it back.
+ * An explicit transaction handle: the id of a session bound to the
+ * thread that began it. Move-only and thread-affine: it must be
+ * committed/rolled back on that thread; a finish from another thread
+ * reports kMisuse and leaves the handle open, as does a finish after
+ * crash() dropped the session. Destroying an open handle rolls the
+ * transaction back — unless the power is gone (a SimulatedCrash is
+ * unwinding), in which case crash() recovery rolls it back.
  */
 class Txn
 {
@@ -284,9 +286,9 @@ class Txn
     friend class Database;
     friend class ShardedDatabase;
 
-    Txn(Database *db, ShardedDatabase *sdb, std::uint64_t seq,
+    Txn(Database *db, ShardedDatabase *sdb, std::uint64_t id,
         Word snapshot)
-        : db_(db), sdb_(sdb), seq_(seq), snapshot_(snapshot)
+        : db_(db), sdb_(sdb), id_(id), snapshot_(snapshot)
     {}
 
     void
@@ -294,11 +296,11 @@ class Txn
     {
         db_ = o.db_;
         sdb_ = o.sdb_;
-        seq_ = o.seq_;
+        id_ = o.id_;
         snapshot_ = o.snapshot_;
         o.db_ = nullptr;
         o.sdb_ = nullptr;
-        o.seq_ = 0;
+        o.id_ = 0;
     }
 
     /** Commit or roll back through the minting engine; the handle
@@ -311,7 +313,8 @@ class Txn
 
     Database *db_ = nullptr;
     ShardedDatabase *sdb_ = nullptr;
-    std::uint64_t seq_ = 0;
+    /** The engine session's id. */
+    std::uint64_t id_ = 0;
     Word snapshot_ = kNoSnapshot;
 };
 

@@ -1596,6 +1596,209 @@ TEST_F(AsyncCommitTest, SnapshotAuditsSeeNoFracturedSums)
     EXPECT_EQ(database.detachedCount(), 0u);
 }
 
+// ---------------------------------------------------------------------
+// Sessions: a Txn is an engine session bound to the thread that began
+// it; detached sessions and brackets move between threads by id
+// ---------------------------------------------------------------------
+
+class SessionTest : public AsyncCommitTest
+{
+};
+
+TEST_F(SessionTest, BoundTxnRefusesASecondBindOnADatabase)
+{
+    DatabaseConfig cfg;
+    cfg.rowRegionSize = 2u << 20;
+    cfg.rowsPerTable = 256;
+    cfg.walShards = 4;
+    cfg.groupCommitWindowUs = 0;
+    Database db(cfg);
+    db.createTable(schema());
+
+    std::uint64_t other = 0;
+    ASSERT_TRUE(db.beginDetached({}, &other).isOk());
+    Txn t = db.beginTxn();
+    db.persistRecord("T", row(1, 10));
+    EXPECT_FALSE(db.bindDetached(other)) << "a thread binds one session";
+    EXPECT_TRUE(t.commit().isOk());
+    DbRecord out;
+    ASSERT_TRUE(db.fetchRecord("T", 1, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+
+    // With the Txn finished the thread is free to bind again.
+    ASSERT_TRUE(db.bindDetached(other));
+    db.persistRecord("T", row(2, 20));
+    db.unbindDetached(other);
+    EXPECT_TRUE(db.rollbackDetached(other).isOk());
+    EXPECT_FALSE(db.fetchRecord("T", 2, &out));
+    EXPECT_EQ(db.busyWalShards(), 0u);
+    EXPECT_EQ(db.detachedCount(), 0u);
+}
+
+TEST_F(SessionTest, BoundTxnRefusesASecondBindOnAShardedDatabase)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::int64_t a = pkOn(database, 0), b = pkOn(database, 1);
+
+    std::uint64_t other = 0;
+    ASSERT_TRUE(database.beginDetached({}, &other).isOk());
+    Txn t = database.beginTxn();
+    database.persistRecord("T", row(a, 10));
+    database.persistRecord("T", row(b, 10));
+    EXPECT_FALSE(database.bindDetached(other))
+        << "a thread binds one bracket";
+    EXPECT_TRUE(t.commit().isOk());
+    DbRecord out;
+    ASSERT_TRUE(database.fetchRecord("T", a, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+    ASSERT_TRUE(database.fetchRecord("T", b, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+
+    ASSERT_TRUE(database.bindDetached(other));
+    database.persistRecord("T", row(a, 20));
+    database.persistRecord("T", row(b, 20));
+    database.unbindDetached(other);
+    EXPECT_TRUE(database.rollbackDetached(other).isOk());
+    ASSERT_TRUE(database.fetchRecord("T", a, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+    ASSERT_TRUE(database.fetchRecord("T", b, &out));
+    EXPECT_EQ(out.values[1].i, 10);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
+}
+
+TEST_F(SessionTest, KilledTxnDoesNotBlockTheNextBegin)
+{
+    // The engine kills a snapshot Txn on a first-committer-wins
+    // conflict; the thread may begin again before finishing the dead
+    // handle, which then still reports why it died.
+    DatabaseConfig cfg;
+    cfg.rowRegionSize = 2u << 20;
+    cfg.rowsPerTable = 256;
+    cfg.walShards = 4;
+    cfg.groupCommitWindowUs = 0;
+    Database db(cfg);
+    db.createTable(schema());
+    db.persistRecord("T", row(1, 0));
+    ShardedDatabase sharded(config(2));
+    sharded.createTable(schema());
+    sharded.persistRecord("T", row(1, 0));
+
+    auto check = [](auto &engine) {
+        Txn dead = engine.beginTxn({Isolation::kSnapshot});
+        std::thread w([&]() { engine.persistRecord("T", row(1, 7)); });
+        w.join();
+        EXPECT_THROW(engine.persistRecord("T", row(1, 5)), TxnAbortError);
+        Txn next = engine.beginTxn();
+        engine.persistRecord("T", row(2, 2));
+        EXPECT_TRUE(next.commit().isOk());
+        EXPECT_EQ(dead.commit().code(), StatusCode::kConflict);
+        EXPECT_EQ(engine.busyWalShards(), 0u);
+        EXPECT_EQ(engine.detachedCount(), 0u);
+        DbRecord out;
+        ASSERT_TRUE(engine.fetchRecord("T", 1, &out));
+        EXPECT_EQ(out.values[1].i, 7);
+        EXPECT_TRUE(engine.fetchRecord("T", 2, &out));
+    };
+    check(db);
+    check(sharded);
+}
+
+TEST_F(SessionTest, DetachedBracketJoinsMembersOnDifferentThreads)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::int64_t a = pkOn(database, 0), b = pkOn(database, 1);
+    database.persistRecord("T", row(a, 0));
+    database.persistRecord("T", row(b, 0));
+
+    std::uint64_t id = 0;
+    ASSERT_TRUE(database.beginDetached({}, &id).isOk());
+    // Each member is joined by a different thread; the bracket keeps
+    // both member sessions while parked in between.
+    auto write_on_thread = [&](std::int64_t pk) {
+        std::thread w([&]() {
+            ASSERT_TRUE(database.bindDetached(id));
+            database.persistRecord("T", row(pk, 5));
+            database.unbindDetached(id);
+        });
+        w.join();
+    };
+    write_on_thread(a);
+    write_on_thread(b);
+    EXPECT_EQ(database.busyWalShards(), 2u);
+
+    std::uint64_t coord =
+        database.coordinatorDevice().stats().fences.load();
+    Status s = Status::ok();
+    std::thread c([&]() { s = database.commitDetached(id); });
+    c.join();
+    EXPECT_TRUE(s.isOk()) << s.message();
+    EXPECT_EQ(database.coordinatorDevice().stats().fences.load(),
+              coord + 1);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
+    for (std::int64_t pk : {a, b}) {
+        DbRecord out;
+        ASSERT_TRUE(database.fetchRecord("T", pk, &out));
+        EXPECT_EQ(out.values[1].i, 5);
+    }
+
+    database.crash(CrashMode::kDiscardUnflushed);
+    for (std::int64_t pk : {a, b}) {
+        DbRecord out;
+        ASSERT_TRUE(database.fetchRecord("T", pk, &out));
+        EXPECT_EQ(out.values[1].i, 5) << "pk " << pk;
+    }
+}
+
+TEST_F(SessionTest, DetachedBracketKilledOnAnotherThreadRollsBackWhole)
+{
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    std::int64_t a = pkOn(database, 0), b = pkOn(database, 1);
+    database.persistRecord("T", row(a, 0));
+    database.persistRecord("T", row(b, 0));
+
+    std::uint64_t id = 0;
+    ASSERT_TRUE(database.beginDetached({Isolation::kSnapshot}, &id).isOk());
+    std::thread ta([&]() {
+        ASSERT_TRUE(database.bindDetached(id));
+        database.persistRecord("T", row(a, 5));
+        database.unbindDetached(id);
+    });
+    ta.join();
+    database.persistRecord("T", row(b, 7)); // auto-commit, after S
+
+    // First committer wins: B's write on member 1 kills the bracket,
+    // member 0's write (made on A's thread) included.
+    std::thread tb([&]() {
+        ASSERT_TRUE(database.bindDetached(id));
+        try {
+            database.persistRecord("T", row(b, 5));
+            ADD_FAILURE() << "a write after the snapshot went through";
+        } catch (const TxnAbortError &e) {
+            EXPECT_EQ(e.code(), StatusCode::kConflict);
+        }
+        database.unbindDetached(id);
+    });
+    tb.join();
+    EXPECT_EQ(database.busyWalShards(), 0u);
+
+    Status s = Status::make(StatusCode::kMisuse, "unset");
+    std::thread tc([&]() { s = database.rollbackDetached(id); });
+    tc.join();
+    EXPECT_TRUE(s.isOk()) << s.message();
+    EXPECT_EQ(database.busyWalShards(), 0u);
+    EXPECT_EQ(database.detachedCount(), 0u);
+    DbRecord out;
+    ASSERT_TRUE(database.fetchRecord("T", a, &out));
+    EXPECT_EQ(out.values[1].i, 0) << "member 0's write survived the kill";
+    ASSERT_TRUE(database.fetchRecord("T", b, &out));
+    EXPECT_EQ(out.values[1].i, 7);
+}
+
 TEST(VersionChainTest, TrimKeepsChainsBoundedUnderLongSnapshot)
 {
     // Regression for the chain trimmer: a long-lived snapshot plus a
