@@ -28,7 +28,10 @@
  *     of the baseline (acceptance), instead of queueing everyone into
  *     collapse.
  *
- * Writes BENCH_wire_bench.json next to the human tables.
+ * Writes BENCH_wire_bench.json next to the human tables. Exits 1 when
+ * any scenario saw an error response or a lost connection, or a server
+ * counted a protocol error; the two acceptance verdicts are timing-
+ * dependent and only printed.
  */
 
 #include <algorithm>
@@ -478,6 +481,7 @@ main()
     std::printf("%7s %10s %9s %9s %10s %11s %9s %10s\n", "conns",
                 "txn/s", "p50(us)", "p99(us)", "p99.9(us)",
                 "fences/txn", "avgbatch", "busy");
+    std::uint64_t errors = 0; // every scenario's, for the exit code
     double fences_1conn = 0, fences_maxconn = 0;
     double capacity = 0;
     double uncontended_p99 = 0;
@@ -497,6 +501,7 @@ main()
         }
         fences_maxconn = r.fencesPerTxn;
         capacity = std::max(capacity, r.txnPerS);
+        errors += r.errors;
         json.beginRow()
             .field("scenario", std::string("pipeline"))
             .field("conns", static_cast<std::uint64_t>(conns))
@@ -532,6 +537,7 @@ main()
         std::printf("%10.0f %9.1f %9.1f %11.1f%% %12.3f\n\n",
                     r.txnPerS, r.pct.p50, r.pct.p99,
                     100.0 * r.rejectRate, r.fencesPerTxn);
+        errors += r.errors;
         json.beginRow()
             .field("scenario", std::string("hotkey"))
             .field("conns", static_cast<std::uint64_t>(hot_conns))
@@ -556,6 +562,7 @@ main()
     std::uint64_t cal_ops = std::max<std::uint64_t>(
         4, std::min<std::uint64_t>(2000, total_ops) / 16);
     ScenarioResult cal = closedLoopPoint(ox, 16, 4, cal_ops, false);
+    errors += cal.errors;
     double over_capacity = std::max(50.0, cal.txnPerS);
     double base_rate = over_capacity * 0.25;
     double over_rate = over_capacity * 2.0;
@@ -592,6 +599,7 @@ main()
                 p99_ratio, overload_pass ? "PASS" : "FAIL",
                 uncontended_p99);
     for (const auto *s : {&base, &over}) {
+        errors += s->errors;
         json.beginRow()
             .field("scenario", std::string(s == &base
                                                ? "overload_baseline"
@@ -626,5 +634,15 @@ main()
                 static_cast<unsigned long long>(ss.txnsCommitted),
                 static_cast<unsigned long long>(ss.admissionRejects),
                 static_cast<unsigned long long>(ss.protocolErrors));
+    std::uint64_t protocol_errors =
+        ss.protocolErrors + ox.server->stats().protocolErrors;
+    if (errors != 0 || protocol_errors != 0) {
+        std::fprintf(stderr,
+                     "wire_bench: FAIL: %llu error responses or lost "
+                     "connections, %llu protocol errors\n",
+                     static_cast<unsigned long long>(errors),
+                     static_cast<unsigned long long>(protocol_errors));
+        return 1;
+    }
     return 0;
 }

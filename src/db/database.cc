@@ -421,20 +421,6 @@ Database::rollbackDetached(std::uint64_t id)
 }
 
 void
-Database::commitDetachedAsync(std::uint64_t id,
-                              std::function<void(Status)> done)
-{
-    std::shared_ptr<TxContext> ctx = takeSession(id);
-    if (!ctx || !ctx->explicitTx) {
-        done(ctx ? finishTx(*ctx, true) : unknownSession());
-        return;
-    }
-    commitTxAsync(*ctx, [ctx, done](Status s, std::exception_ptr) {
-        done(s);
-    });
-}
-
-void
 Database::commitTxAsync(TxContext &ctx, StepFn done)
 {
     WalShard &shard = wal_->shard(ctx.shardId);
@@ -559,7 +545,8 @@ Database::persistRecord(const std::string &table, const DbRecord &record)
     PhaseScope scope(timer_, "database");
     std::size_t t = tableIndexOrDie(table);
     const TableSchema &schema = catalog_.tables()[t];
-    if (record.values.size() != schema.columns.size())
+    if (record.values.size() != schema.columns.size() ||
+        record.values[schema.pkColumn].type != DbType::kI64)
         fatal("db: record shape mismatch for " + table);
     mutate([&](TxContext &ctx) {
         WalShard &shard = wal_->shard(ctx.shardId);
@@ -579,7 +566,8 @@ Database::updateRecord(const std::string &table,
     PhaseScope scope(timer_, "database");
     std::size_t t = tableIndexOrDie(table);
     const TableSchema &schema = catalog_.tables()[t];
-    if (record.values.size() != schema.columns.size())
+    if (record.values.size() != schema.columns.size() ||
+        record.values[schema.pkColumn].type != DbType::kI64)
         fatal("db: record shape mismatch for " + table);
     bool updated = false;
     mutate([&](TxContext &ctx) {
@@ -773,8 +761,9 @@ Database::execute(const SqlStatement &stmt)
       case SqlStatement::Kind::kUpdate: {
         std::size_t t = tableIndexOrDie(stmt.table);
         const TableSchema &schema = catalog_.tables()[t];
-        if (schema.columnIndex(stmt.whereColumn) != schema.pkColumn)
-            fatal("db: UPDATE supports pk predicates only");
+        if (schema.columnIndex(stmt.whereColumn) != schema.pkColumn ||
+            stmt.whereValue.type != DbType::kI64)
+            fatal("db: UPDATE supports integer pk predicates only");
         std::vector<DbValue> row(schema.columns.size());
         std::uint64_t mask = 0;
         for (const auto &[col, val] : stmt.assignments) {

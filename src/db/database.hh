@@ -31,11 +31,11 @@
  *  - beginDetached() opens a parked session for servers whose
  *    connections hop between worker threads: bindDetached()/
  *    unbindDetached() bind it around each statement batch, and
- *    commitDetached()/commitDetachedAsync()/rollbackDetached() finish
- *    it from any thread. It never blocks: the begin takes a free WAL
- *    shard token or fails with StatusCode::kBusy (admission control),
- *    and its row-lock waits are bounded (kBusy abort), so an
- *    event-loop worker never parks behind a stalled session.
+ *    commitDetached()/rollbackDetached() finish it from any thread.
+ *    It never blocks: the begin takes a free WAL shard token or fails
+ *    with StatusCode::kBusy (admission control), and its row-lock
+ *    waits are bounded (kBusy abort), so an event-loop worker never
+ *    parks behind a stalled session.
  *
  * Commits drain through the group-commit coordinator (batch window:
  * DatabaseConfig::groupCommitWindowUs, or the ESPRESSO_DB_GROUP_COMMIT
@@ -142,10 +142,10 @@ class Database
     /** @name Sessions by id (see file comment)
      *
      * Lifecycle: beginDetached -> {bindDetached ... statements ...
-     * unbindDetached}* -> commitDetached / commitDetachedAsync /
-     * rollbackDetached. A finish takes a parked session, or the one
-     * bound to the calling thread (unbinding it); an unknown session
-     * or one bound to another thread is StatusCode::kMisuse.
+     * unbindDetached}* -> commitDetached / rollbackDetached. A finish
+     * takes a parked session, or the one bound to the calling thread
+     * (unbinding it); an unknown session or one bound to another
+     * thread is StatusCode::kMisuse.
      */
     /// @{
     /** Open a detached transaction without blocking. kBusy (with
@@ -168,13 +168,6 @@ class Database
     Status commitDetached(std::uint64_t id);
     Status rollbackDetached(std::uint64_t id);
 
-    /** Commit a session through the group-commit batcher without
-     * blocking the calling thread; @p done fires on the drainer
-     * thread (or inline for an empty/already-aborted transaction or
-     * a kMisuse) once the commit is durable. */
-    void commitDetachedAsync(std::uint64_t id,
-                             std::function<void(Status)> done);
-
     /** Open session count, Txn handles' included (leak checks). */
     std::size_t detachedCount() const;
 
@@ -192,7 +185,9 @@ class Database
     /// @{
     void createTable(const TableSchema &schema);
 
-    /** Insert or (masked) update by primary key. */
+    /** Insert or (masked) update by primary key; fatal unless the
+     * record has the table's column count and an integer pk (so is
+     * updateRecord). */
     void persistRecord(const std::string &table, const DbRecord &record);
 
     /** Masked update ONLY — false when the pk is absent, never an

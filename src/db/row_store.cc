@@ -549,8 +549,9 @@ RowStore::insert(std::size_t table, const std::vector<DbValue> &row,
                  WalShard &wal, RowTxState &tx)
 {
     const TableSchema &schema = catalog_->tables()[table];
-    if (row.size() != schema.columns.size())
-        fatal("db: column count mismatch inserting into " + schema.name);
+    if (row.size() != schema.columns.size() ||
+        row[schema.pkColumn].type != DbType::kI64)
+        fatal("db: row shape mismatch inserting into " + schema.name);
     TableRegion &region = regions_[table];
     std::size_t row_bytes = schema.rowBytes();
     std::int64_t pk = row[schema.pkColumn].i;

@@ -122,7 +122,9 @@ class RowStore
     RowStore(const RowStore &) = delete;
     RowStore &operator=(const RowStore &) = delete;
 
-    /** Insert; false when the primary key already exists. */
+    /** Insert; false when the primary key already exists, fatal
+     * unless @p row has the table's column count and an integer
+     * pk. */
     bool insert(std::size_t table, const std::vector<DbValue> &row,
                 WalShard &wal, RowTxState &tx);
 

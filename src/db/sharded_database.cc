@@ -624,10 +624,11 @@ ShardedDatabase::createTable(const TableSchema &schema)
 std::int64_t
 ShardedDatabase::pkOf(const std::string &table, const DbRecord &record)
 {
-    const TableSchema *schema = shards_[0]->catalog().find(table);
+    const TableSchema *schema = catalog().find(table);
     if (!schema)
         fatal("sharded db: no such table " + table);
-    if (record.values.size() != schema->columns.size())
+    if (record.values.size() != schema->columns.size() ||
+        record.values[schema->pkColumn].type != DbType::kI64)
         fatal("sharded db: record shape mismatch for " + table);
     return record.values[schema->pkColumn].i;
 }
@@ -749,7 +750,7 @@ ShardedDatabase::addMemberLocked()
         std::make_unique<Database>(cfg_.shard, nvmCfg_, &clock_);
     // Joiners replay the catalog before they are listed: every
     // member carries every table's schema.
-    for (const TableSchema &t : shards_[0]->catalog().tables())
+    for (const TableSchema &t : catalog().tables())
         db->createTable(t);
     shards_.push_back(std::move(db));
 }
@@ -791,7 +792,7 @@ ShardedDatabase::repartition(unsigned from, unsigned target)
     // removed members entirely (the new ring never maps to them).
     unsigned src_begin = target > from ? 0 : target;
     std::vector<std::string> tables;
-    for (const TableSchema &t : shards_[0]->catalog().tables())
+    for (const TableSchema &t : catalog().tables())
         tables.push_back(t.name);
     for (unsigned s = src_begin; s < from; ++s) {
         for (const std::string &table : tables) {

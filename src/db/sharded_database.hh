@@ -155,6 +155,9 @@ class ShardedDatabase
 
     Database &shard(unsigned i) { return *shards_[i]; }
 
+    /** The catalog every member carries (DDL broadcasts). */
+    const Catalog &catalog() const { return shards_[0]->catalog(); }
+
     /** The committed ring (reads; the pre-change ring mid-change). */
     const ShardRouter &router() const { return routingRef().committed; }
 
@@ -429,7 +432,8 @@ class ShardedDatabase
     template <typename Probe, typename Last>
     bool routed(std::int64_t pk, bool write, Probe &&probe, Last &&last);
 
-    /** pk column of @p table (members share one catalog shape). */
+    /** pk of @p record, fatal unless it fits @p table's shape with an
+     * integer pk. */
     std::int64_t pkOf(const std::string &table, const DbRecord &record);
 
     /**

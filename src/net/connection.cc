@@ -6,11 +6,8 @@
 
 #include <cerrno>
 
-#include "db/catalog.hh"
-#include "db/database.hh"
 #include "db/sharded_database.hh"
 #include "db/wal.hh"
-#include "util/logging.hh"
 
 namespace espresso {
 namespace net {
@@ -37,12 +34,6 @@ mapCode(db::StatusCode c)
         return WireStatus::kBusy;
     }
     return WireStatus::kError;
-}
-
-bool
-opHasFlag(WireOp op)
-{
-    return op == WireOp::kUpdate || op == WireOp::kDel;
 }
 
 } // namespace
@@ -329,30 +320,6 @@ Connection::opRead(WireOp op, WireReader &r, const SlotPtr &slot)
         fillSimple(slot, op, st);
 }
 
-std::uint8_t
-Connection::execWriteStmt(db::Database *member, WireOp op,
-                          const std::string &table,
-                          const db::DbRecord &rec, std::int64_t pk)
-{
-    switch (op) {
-    case WireOp::kPut:
-    case WireOp::kInsert:
-        if (member != nullptr)
-            member->persistRecord(table, rec);
-        else
-            db_->persistRecord(table, rec);
-        return 1;
-    case WireOp::kUpdate:
-        if (member != nullptr)
-            return member->updateRecord(table, rec) ? 1 : 0;
-        return db_->updateRecord(table, rec) ? 1 : 0;
-    default: // kDel
-        if (member != nullptr)
-            return member->deleteRecord(table, pk) ? 1 : 0;
-        return db_->deleteRecord(table, pk) ? 1 : 0;
-    }
-}
-
 void
 Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
 {
@@ -369,49 +336,8 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
         fillSimple(slot, op, WireStatus::kBadRequest);
         return;
     }
-
-    if (txnId_ != 0) {
-        // Explicit bracket: bind, execute through the routed sharded
-        // path, unbind. The response is immediate — durability is
-        // the commit's contract.
-        if (txnDead_) {
-            fillSimple(slot, op, WireStatus::kAborted);
-            return;
-        }
-        if (!db_->bindDetached(txnId_)) {
-            fillSimple(slot, op, WireStatus::kMisuse);
-            return;
-        }
-        WireStatus st = WireStatus::kOk;
-        std::uint8_t flag = 0;
-        try {
-            flag = execWriteStmt(nullptr, op, table, rec, pk);
-        } catch (const db::TxnAbortError &e) {
-            st = mapCode(e.code());
-            txnDead_ = true;
-        } catch (const db::WalFullError &) {
-            st = WireStatus::kWalFull;
-            txnDead_ = true;
-        } catch (const std::exception &) {
-            st = WireStatus::kError; // statement failed; bracket lives
-        }
-        db_->unbindDetached(txnId_);
-        if (st == WireStatus::kOk && opHasFlag(op)) {
-            WireWriter w;
-            w.begin(op, static_cast<std::uint16_t>(st));
-            w.putU8(flag);
-            w.finish();
-            fillPayload(slot, std::move(w));
-        } else {
-            fillSimple(slot, op, st);
-        }
-        return;
-    }
-
-    // Auto-commit. Resolve the routing pk first.
     if (op != WireOp::kDel) {
-        const db::TableSchema *schema =
-            db_->shard(0).catalog().find(table);
+        const db::TableSchema *schema = db_->catalog().find(table);
         if (schema == nullptr) {
             fillSimple(slot, op, WireStatus::kError);
             return;
@@ -421,97 +347,76 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
             fillSimple(slot, op, WireStatus::kBadRequest);
             return;
         }
-        pk = rec.values[schema->pkColumn].i;
     }
 
-    if (db_->migrating()) {
-        // Mid-repartition a write may probe two member homes inside
-        // a 2PC bracket; that path may block, so it runs on the
-        // committer pool.
-        auto db = db_;
-        runOnPool(
-            op, slot,
-            [db, op, table = std::move(table), rec = std::move(rec),
-             pk]() {
-                PoolResult out;
-                out.hasFlag = opHasFlag(op);
-                try {
-                    std::uint8_t flag = 0;
-                    switch (op) {
-                    case WireOp::kPut:
-                    case WireOp::kInsert:
-                        db->persistRecord(table, rec);
-                        flag = 1;
-                        break;
-                    case WireOp::kUpdate:
-                        flag = db->updateRecord(table, rec) ? 1 : 0;
-                        break;
-                    default:
-                        flag = db->deleteRecord(table, pk) ? 1 : 0;
-                        break;
-                    }
-                    out.flag = flag;
-                } catch (const db::TxnAbortError &e) {
-                    out.status = mapCode(e.code());
-                } catch (const db::WalFullError &) {
-                    out.status = WireStatus::kWalFull;
-                } catch (const std::exception &) {
-                    out.status = WireStatus::kError;
-                }
-                return out;
-            },
-            false);
-        return;
-    }
-
-    // The pipelining fast path: execute the row mutation now on the
-    // worker (so this connection's next frame sees it), park the
-    // member session, and let the group-commit drainer make it
-    // durable — concurrent connections' fences coalesce there. The
-    // response completes from the drainer callback, in slot order.
-    if (!srv_->admit(worker_)) {
-        srv_->stats_.admissionRejects.fetch_add(
-            1, std::memory_order_relaxed);
-        fillSimple(slot, op, WireStatus::kBusy);
-        return;
-    }
-    db::Database &member = db_->shardForPk(pk);
-    std::uint64_t sid = 0;
-    db::Status bst = member.beginDetached({}, &sid);
-    if (!bst.isOk()) {
-        srv_->noteWorkDone(worker_);
-        srv_->stats_.admissionRejects.fetch_add(
-            1, std::memory_order_relaxed);
-        fillSimple(slot, op, mapCode(bst.code()));
-        return;
-    }
-    if (!member.bindDetached(sid)) {
-        (void)member.rollbackDetached(sid);
-        srv_->noteWorkDone(worker_);
-        fillSimple(slot, op, WireStatus::kError);
-        return;
-    }
+    // One path for both modes: the statement runs in the connection's
+    // open bracket, or auto-commits as a one-statement bracket of its
+    // own.
+    const bool own = txnId_ == 0;
+    std::uint64_t bid = txnId_;
     WireStatus st = WireStatus::kOk;
-    std::uint8_t flag = 0;
-    try {
-        flag = execWriteStmt(&member, op, table, rec, pk);
-    } catch (const db::TxnAbortError &e) {
-        st = mapCode(e.code());
-    } catch (const db::WalFullError &) {
-        st = WireStatus::kWalFull;
-    } catch (const std::exception &) {
-        st = WireStatus::kError;
+    if (own) {
+        if (!srv_->admit(worker_)) {
+            srv_->stats_.admissionRejects.fetch_add(
+                1, std::memory_order_relaxed);
+            fillSimple(slot, op, WireStatus::kBusy);
+            return;
+        }
+        st = mapCode(db_->beginDetached({}, &bid).code());
+    } else if (txnDead_) {
+        st = WireStatus::kAborted;
     }
-    member.unbindDetached(sid);
+    std::uint8_t flag = 0;
+    if (st == WireStatus::kOk && !db_->bindDetached(bid)) {
+        st = WireStatus::kMisuse;
+    } else if (st == WireStatus::kOk) {
+        try {
+            switch (op) {
+            case WireOp::kPut:
+            case WireOp::kInsert:
+                db_->persistRecord(table, rec);
+                flag = 1;
+                break;
+            case WireOp::kUpdate:
+                flag = db_->updateRecord(table, rec) ? 1 : 0;
+                break;
+            default: // kDel
+                flag = db_->deleteRecord(table, pk) ? 1 : 0;
+                break;
+            }
+        } catch (const db::TxnAbortError &e) {
+            st = mapCode(e.code());
+            txnDead_ = !own; // the engine killed the bracket
+        } catch (const db::WalFullError &) {
+            st = WireStatus::kWalFull;
+            txnDead_ = !own;
+        } catch (const std::exception &) {
+            st = WireStatus::kError; // statement failed; bracket lives
+        }
+        db_->unbindDetached(bid);
+    }
+    if (!own) {
+        // Durability is the explicit commit's contract.
+        fillWrite(slot, op, st, flag);
+        return;
+    }
     if (st != WireStatus::kOk) {
-        (void)member.rollbackDetached(sid); // dispose the session
+        if (bid != 0)
+            (void)db_->rollbackDetached(bid);
         srv_->noteWorkDone(worker_);
+        if (st == WireStatus::kBusy)
+            srv_->stats_.admissionRejects.fetch_add(
+                1, std::memory_order_relaxed);
         fillSimple(slot, op, st);
         return;
     }
+    // Pipelining: the row mutation is already visible to this
+    // connection's next frame; the commit parks in the member's
+    // group-commit drainer, where concurrent connections' fences
+    // coalesce, and the response completes from there in slot order.
     auto self = shared_from_this();
-    member.commitDetachedAsync(
-        sid, [this, self, slot, op, flag](db::Status s) {
+    db_->commitDetachedAsync(
+        bid, [this, self, slot, op, flag](db::Status s) {
             loop_->post([this, self, slot, op, flag, s] {
                 srv_->noteWorkDone(worker_);
                 if (closed_)
@@ -519,16 +424,7 @@ Connection::opWrite(WireOp op, WireReader &r, const SlotPtr &slot)
                 if (s.isOk())
                     srv_->stats_.txnsCommitted.fetch_add(
                         1, std::memory_order_relaxed);
-                if (s.isOk() && opHasFlag(op)) {
-                    WireWriter w;
-                    w.begin(op, static_cast<std::uint16_t>(
-                                    WireStatus::kOk));
-                    w.putU8(flag);
-                    w.finish();
-                    fillPayload(slot, std::move(w));
-                } else {
-                    fillSimple(slot, op, mapCode(s.code()));
-                }
+                fillWrite(slot, op, mapCode(s.code()), flag);
                 updateInterest();
             });
         });
@@ -574,110 +470,81 @@ Connection::opFinishTxn(WireOp op, const SlotPtr &slot)
         fillSimple(slot, op, WireStatus::kMisuse);
         return;
     }
-    std::uint64_t bid = txnId_;
-    auto *srv = srv_;
-    if (op == WireOp::kRollback) {
-        auto db = db_;
-        runOnPool(
-            op, slot,
-            [db, srv, bid]() {
-                PoolResult out;
-                out.status = mapCode(db->rollbackDetached(bid).code());
-                srv->stats_.txnsAborted.fetch_add(
-                    1, std::memory_order_relaxed);
-                return out;
-            },
-            true);
-        return;
-    }
-
-    // Commit blocks no thread: the engine's commit chain runs on the
-    // members' group-commit drainers (or completes inline for a
-    // read-only or engine-aborted bracket). The connection stays
-    // paused until it completes, so the client's next transaction
-    // begins after this one's commit point.
     if (!srv_->admit(worker_)) {
         srv_->stats_.admissionRejects.fetch_add(
             1, std::memory_order_relaxed);
         fillSimple(slot, op, WireStatus::kBusy);
         return;
     }
-    // The chain owns the bracket from here: a disconnect meanwhile
-    // has nothing to roll back.
+    // The engine owns the bracket from here, whatever the outcome: a
+    // disconnect meanwhile has nothing to roll back. The connection
+    // stays paused until the finish completes, so the client's next
+    // transaction begins after this one's commit point.
+    std::uint64_t bid = txnId_;
     txnId_ = 0;
     txnDead_ = false;
     paused_ = true;
     updateInterest();
     auto self = shared_from_this();
-    auto done = [this, self, srv, op, slot](db::Status s) {
-        if (s.isOk())
-            srv->stats_.txnsCommitted.fetch_add(
+    auto done = [this, self, op, slot](WireStatus st) {
+        if (st == WireStatus::kOk && op == WireOp::kCommit)
+            srv_->stats_.txnsCommitted.fetch_add(
                 1, std::memory_order_relaxed);
         else
-            srv->stats_.txnsAborted.fetch_add(
+            srv_->stats_.txnsAborted.fetch_add(
                 1, std::memory_order_relaxed);
-        PoolResult pr;
-        pr.status = mapCode(s.code());
-        loop_->post([this, self, op, slot, pr] {
-            resumeAfter(op, slot, pr, false);
-        });
+        loop_->post(
+            [this, self, op, slot, st] { resumeAfter(op, slot, st); });
     };
-    db_->commitDetachedAsync(bid, std::move(done));
-}
-
-void
-Connection::runOnPool(WireOp op, const SlotPtr &slot,
-                      std::function<PoolResult()> job, bool ends_txn)
-{
-    if (!srv_->admit(worker_)) {
-        srv_->stats_.admissionRejects.fetch_add(
-            1, std::memory_order_relaxed);
-        fillSimple(slot, op, WireStatus::kBusy);
+    if (op == WireOp::kCommit) {
+        // Blocks no thread: the engine's commit chain runs on the
+        // members' group-commit drainers (or completes inline for a
+        // read-only or engine-aborted bracket).
+        db_->commitDetachedAsync(bid, [done](db::Status s) {
+            done(mapCode(s.code()));
+        });
         return;
     }
-    paused_ = true;
-    updateInterest();
-    auto self = shared_from_this();
-    srv_->submitJob([this, self, op, slot, ends_txn,
-                     job = std::move(job)]() {
-        PoolResult pr;
+    // A rollback restores undo images under fences: it runs on the
+    // committer pool, off the worker.
+    auto db = db_;
+    srv_->submitJob([db, bid, done] {
+        WireStatus st = WireStatus::kError;
         try {
-            pr = job();
+            st = mapCode(db->rollbackDetached(bid).code());
         } catch (const std::exception &) {
-            pr = PoolResult{};
-            pr.status = WireStatus::kError;
         }
-        loop_->post([this, self, op, slot, ends_txn, pr] {
-            resumeAfter(op, slot, pr, ends_txn);
-        });
+        done(st);
     });
 }
 
 void
-Connection::resumeAfter(WireOp op, const SlotPtr &slot,
-                        const PoolResult &pr, bool ends_txn)
+Connection::resumeAfter(WireOp op, const SlotPtr &slot, WireStatus st)
 {
     srv_->noteWorkDone(worker_);
     if (closed_)
         return;
     paused_ = false;
-    if (ends_txn) {
-        // The bracket was consumed whatever the outcome.
-        txnId_ = 0;
-        txnDead_ = false;
-    }
-    if (pr.status == WireStatus::kOk && pr.hasFlag) {
-        WireWriter w;
-        w.begin(op, static_cast<std::uint16_t>(pr.status));
-        w.putU8(pr.flag);
-        w.finish();
-        fillPayload(slot, std::move(w));
-    } else {
-        fillSimple(slot, op, pr.status);
-    }
+    fillSimple(slot, op, st);
     if (closed_)
         return;
     processBuffer(); // resume the pipeline
+}
+
+void
+Connection::fillWrite(const SlotPtr &slot, WireOp op, WireStatus st,
+                      std::uint8_t flag)
+{
+    if (st != WireStatus::kOk ||
+        (op != WireOp::kUpdate && op != WireOp::kDel)) {
+        fillSimple(slot, op, st);
+        return;
+    }
+    WireWriter w;
+    w.begin(op, static_cast<std::uint16_t>(st));
+    w.putU8(flag);
+    w.finish();
+    fillPayload(slot, std::move(w));
 }
 
 Connection::SlotPtr

@@ -5,23 +5,26 @@
  * Frames execute strictly in arrival order and respond strictly in
  * arrival order, but responding is decoupled from executing: each
  * frame claims a response slot up front, and a deferred op (an
- * async auto-commit, a pool-side transaction commit) fills its slot
- * when it completes — later frames' responses queue behind it. That
- * is what makes pipelining profitable: a client streaming K
- * auto-commit writes gets K row mutations executed back-to-back on
- * the worker while their K durability fences coalesce in the
- * group-commit drainer.
+ * auto-commit write's commit, a transaction's commit or rollback)
+ * fills its slot when it completes — later frames' responses queue
+ * behind it. That is what makes pipelining profitable: a client
+ * streaming K auto-commit writes gets K row mutations executed
+ * back-to-back on the worker while their K durability fences
+ * coalesce in the group-commit drainer.
  *
- * Statement execution maps onto the engine's detached sessions:
+ * Every statement speaks the ShardedDatabase bracket API:
  *
- *  - auto-commit write: route by pk, open a nowait detached session
- *    on the owning member, execute, park, commitDetachedAsync — the
- *    response fires from the drainer's completion;
- *  - explicit transaction: kBegin opens a sharded detached bracket;
- *    each op binds it, executes, unbinds; kCommit hands the bracket
- *    to the engine's non-blocking commit chain and kRollback runs on
- *    the committer pool, either way with the connection paused until
- *    it completes so in-order semantics hold;
+ *  - a write runs in a bracket: the connection's open one, or, in
+ *    auto-commit mode, a one-statement nowait bracket it opens itself.
+ *    It binds the bracket, executes, unbinds; an auto-commit bracket
+ *    is then handed to commitDetachedAsync (one member: that member's
+ *    group-commit drainer; two homes mid-membership-change: the 2PC
+ *    chain) and the response fires from the completion, without
+ *    pausing the connection;
+ *  - explicit transaction: kBegin opens the connection's bracket;
+ *    kCommit hands it to the engine's non-blocking commit chain and
+ *    kRollback runs on the committer pool, either way with the
+ *    connection paused until it completes so in-order semantics hold;
  *  - reads execute inline on the worker (lock-free row probes).
  *
  * Failure containment: an engine abort (WAL-full, deadlock victim,
@@ -39,7 +42,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -49,12 +51,6 @@
 #include "util/ring_buffer.hh"
 
 namespace espresso {
-
-namespace db {
-class Database;
-struct DbRecord;
-}
-
 namespace net {
 
 /** One accepted socket and its in-order pipeline state. All methods
@@ -90,14 +86,6 @@ class Connection : public std::enable_shared_from_this<Connection>
     };
     using SlotPtr = std::shared_ptr<Slot>;
 
-    /** A pool-delegated op's result. */
-    struct PoolResult
-    {
-        WireStatus status = WireStatus::kOk;
-        std::uint8_t flag = 0; ///< updated/erased marker ops
-        bool hasFlag = false;
-    };
-
     void onEvents(std::uint32_t ev);
     void readable();
 
@@ -115,28 +103,18 @@ class Connection : public std::enable_shared_from_this<Connection>
     void opFinishTxn(WireOp op, const SlotPtr &slot);
     /// @}
 
-    /** Execute one write statement against the bound engine; throws
-     * the engine's abort errors through. */
-    std::uint8_t execWriteStmt(db::Database *member, WireOp op,
-                               const std::string &table,
-                               const db::DbRecord &rec,
-                               std::int64_t pk);
-
-    /** Run @p job on the committer pool with the connection paused;
-     * @p ends_txn clears the bracket on completion. */
-    void runOnPool(WireOp op, const SlotPtr &slot,
-                   std::function<PoolResult()> job, bool ends_txn);
-
-    /** Completion of a deferred op that paused the connection (pool
-     * job or async commit; loop thread): answer @p slot, unpause and
-     * resume the pipeline. */
-    void resumeAfter(WireOp op, const SlotPtr &slot,
-                     const PoolResult &pr, bool ends_txn);
+    /** Completion of a transaction's commit or rollback (loop
+     * thread): answer @p slot, unpause and resume the pipeline. */
+    void resumeAfter(WireOp op, const SlotPtr &slot, WireStatus st);
 
     /** @name Response plumbing */
     /// @{
     SlotPtr pushSlot();
     void fillSimple(const SlotPtr &slot, WireOp op, WireStatus st);
+    /** A write's answer: kOk on kUpdate/kDel carries @p flag
+     * (updated/erased). */
+    void fillWrite(const SlotPtr &slot, WireOp op, WireStatus st,
+                   std::uint8_t flag);
     void fillPayload(const SlotPtr &slot, WireWriter &&w);
     void flushSlots();
     void flushWrite();
@@ -157,8 +135,9 @@ class Connection : public std::enable_shared_from_this<Connection>
 
     std::uint32_t interest_ = 0;
     bool closed_ = false;
-    /** A pool op or a commit is in flight; no further frames execute
-     * until its completion (read interest is dropped). */
+    /** A transaction's commit or rollback is in flight; no further
+     * frames execute until its completion (read interest is
+     * dropped). */
     bool paused_ = false;
     /** processBuffer() is on the stack (an inline completion must not
      * re-enter it). */

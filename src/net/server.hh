@@ -11,18 +11,17 @@
  *    session — begins are nowait (kBusy when the engine is
  *    saturated), row-lock waits are bounded, and commit durability
  *    is handed off;
- *  - commit durability never blocks a worker: auto-commit writes
- *    park in the member's group-commit coordinator
- *    (Database::commitDetachedAsync) and explicit kCommit hands the
- *    bracket to ShardedDatabase::commitDetachedAsync, whose 2PC
- *    chain runs on the members' drainers; the drainers batch
- *    concurrent connections' fences and complete the responses;
- *  - a small committer pool runs only the operations that may
- *    legally block: explicit-transaction rollback and mid-migration
- *    routed writes (which may probe two member homes).
+ *  - commit durability never blocks a worker: every write runs in a
+ *    ShardedDatabase bracket (an auto-commit write in a one-statement
+ *    bracket of its own), and ShardedDatabase::commitDetachedAsync
+ *    runs the commit on the members' group-commit drainers — one
+ *    member's batch, or the 2PC chain for two or more; the drainers
+ *    batch concurrent connections' fences and complete the responses;
+ *  - a small committer pool runs only explicit-transaction rollbacks
+ *    (a client's kRollback, or a disconnect's open bracket).
  *
- * A connection is paused while its commit or pool op is in flight,
- * preserving its in-order semantics.
+ * A connection is paused while its transaction's commit or rollback
+ * is in flight, preserving its in-order semantics.
  *
  * Overload degrades instead of collapsing: per-worker in-flight work
  * above ServerConfig::queueDepth answers kBusy without executing
@@ -70,8 +69,8 @@ struct ServerConfig
      * 2. */
     unsigned workers = 0;
 
-    /** Committer-pool threads (explicit rollbacks, migration
-     * fallbacks). */
+    /** Committer-pool threads (explicit-transaction rollbacks
+     * only). */
     unsigned committers = 2;
 
     /** Per-worker in-flight op ceiling before admission answers
@@ -164,7 +163,7 @@ class Server
     std::atomic<unsigned> nextLoop_{0};
 
     /** In-flight deferred ops per worker (async commits + pool
-     * jobs), the admission-control watermark. */
+     * rollbacks), the admission-control watermark. */
     std::unique_ptr<std::atomic<unsigned>[]> workerLoad_;
     /** Total in-flight deferred ops (stop() drains this to zero
      * before the loops die). */

@@ -821,6 +821,39 @@ TEST_F(ShardedDbTest, RoutesByPkAndFansOut)
     EXPECT_EQ(database.rowCount("T"), 199u);
 }
 
+TEST_F(ShardedDbTest, NonIntegerPkIsRejectedNotStoredAsRowZero)
+{
+    // A record's pk cell must be an integer: a string pk used to be
+    // stored under pk 0's index slot, after which pk 0's own row was
+    // unreadable and rowCount drifted.
+    ShardedDatabase database(config(2));
+    database.createTable(schema());
+    DbRecord bad;
+    bad.values = {DbValue::ofStr("0"), DbValue::ofI64(9)};
+    EXPECT_THROW(database.persistRecord("T", bad), FatalError);
+    EXPECT_EQ(database.rowCount("T"), 0u);
+
+    database.persistRecord("T", row(0, 5));
+    EXPECT_THROW(database.updateRecord("T", bad), FatalError);
+    DbRecord out;
+    ASSERT_TRUE(database.fetchRecord("T", 0, &out));
+    EXPECT_EQ(out.values[1].i, 5);
+    EXPECT_EQ(database.rowCount("T"), 1u);
+
+    // The member engine and its SQL INSERT/UPDATE paths check the same.
+    Database &member = database.shardForPk(0);
+    EXPECT_THROW(member.persistRecord("T", bad), FatalError);
+    EXPECT_THROW(member.updateRecord("T", bad), FatalError);
+    EXPECT_THROW(member.executeSql("INSERT INTO T (ID, V) VALUES ('7', 1)"),
+                 FatalError);
+    EXPECT_THROW(member.executeSql("UPDATE T SET V = 9 WHERE ID = 'x'"),
+                 FatalError);
+    ASSERT_TRUE(database.fetchRecord("T", 0, &out));
+    EXPECT_EQ(out.values[1].i, 5);
+    EXPECT_EQ(database.rowCount("T"), 1u);
+    EXPECT_EQ(database.busyWalShards(), 0u);
+}
+
 TEST_F(ShardedDbTest, CrossShardBracketCommitsAndRollsBack)
 {
     ShardedDatabase database(config(4));

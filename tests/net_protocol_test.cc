@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "db/sharded_database.hh"
 #include "net/server.hh"
@@ -470,6 +473,167 @@ TEST_F(WireServerTest, RowLockContentionIsBoundedNotBlocking)
 
     a.closeConn();
     b.closeConn();
+    EXPECT_TRUE(drainsClean());
+}
+
+TEST_F(WireServerTest, ExplicitTxnRejectsNonIntegerPk)
+{
+    // Writes validate the same way in a bracket and in auto-commit: a
+    // string pk used to be committed inside a bracket, as a row no
+    // read could find, and then swallowed a later put(0).
+    startServer();
+    WireClient c;
+    ASSERT_TRUE(connectClient(&c));
+    ASSERT_EQ(makeTable(&c), WireStatus::kOk);
+    std::vector<DbValue> bad = {DbValue::ofStr("0"), DbValue::ofI64(1),
+                                DbValue::ofStr("s")};
+
+    std::uint64_t txid = 0;
+    ASSERT_EQ(c.begin(false, &txid), WireStatus::kOk);
+    EXPECT_EQ(c.put("T", bad), WireStatus::kBadRequest);
+    bool updated = true;
+    EXPECT_EQ(c.update("T", bad, ~0ull, &updated),
+              WireStatus::kBadRequest);
+    EXPECT_EQ(c.commit(), WireStatus::kOk);
+    EXPECT_EQ(c.put("T", bad), WireStatus::kBadRequest);
+
+    EXPECT_EQ(c.put("T", row(0, 7)), WireStatus::kOk);
+    std::vector<DbValue> got;
+    ASSERT_EQ(c.get("T", 0, &got), WireStatus::kOk);
+    EXPECT_EQ(got[1].i, 7);
+    std::uint64_t n = 0;
+    EXPECT_EQ(c.rowCount("T", &n), WireStatus::kOk);
+    EXPECT_EQ(n, 1u);
+
+    c.closeConn();
+    EXPECT_TRUE(drainsClean());
+}
+
+TEST_F(WireServerTest, AutoCommitWritesRideGrowAndShrink)
+{
+    // Auto-commit puts and updates from several connections while the
+    // membership grows and shrinks under them: mid-change a write
+    // joins both homes and commits through the 2PC chain. Every
+    // acknowledged write must survive both repartitions.
+    startServer(2, 4);
+    {
+        WireClient c;
+        ASSERT_TRUE(connectClient(&c));
+        ASSERT_EQ(makeTable(&c), WireStatus::kOk);
+    }
+    constexpr int kConns = 3;
+    constexpr std::int64_t kKeys = 96; // per connection
+    std::atomic<bool> stop{false};
+    std::atomic<int> loaded{0};
+    std::vector<std::vector<std::int64_t>> acked(
+        kConns, std::vector<std::int64_t>(kKeys, -1));
+    std::vector<std::string> failures(kConns);
+    std::vector<std::thread> clients;
+    for (int ci = 0; ci < kConns; ++ci)
+        clients.emplace_back([&, ci] {
+            WireClient c;
+            std::vector<std::int64_t> &last = acked[ci];
+            // Write value v to every key: a put first, then updates.
+            auto round = [&](std::int64_t v) {
+                for (std::int64_t k = 0; k < kKeys; ++k) {
+                    std::int64_t pk = ci * 1000 + k;
+                    WireStatus st;
+                    bool updated = false;
+                    for (;;) {
+                        st = last[k] < 0 ? c.put("T", row(pk, v))
+                                         : c.update("T", row(pk, v),
+                                                    ~0ull, &updated);
+                        // Transient engine aborts apply nothing: retry.
+                        if (st != WireStatus::kBusy &&
+                            st != WireStatus::kDeadlock)
+                            break;
+                        std::this_thread::yield();
+                    }
+                    if (st != WireStatus::kOk ||
+                        (last[k] >= 0 && !updated)) {
+                        failures[ci] = "pk " + std::to_string(pk) +
+                                       ": " + wireStatusName(st);
+                        return false;
+                    }
+                    last[k] = v;
+                }
+                return true;
+            };
+            bool ok = connectClient(&c) && round(1);
+            loaded.fetch_add(1);
+            for (std::int64_t v = 2; ok && (v <= 2 || !stop.load()); ++v)
+                ok = round(v);
+            if (!ok && failures[ci].empty())
+                failures[ci] = "connect failed";
+        });
+    while (loaded.load() < kConns)
+        std::this_thread::yield();
+    db_->grow(2);
+    EXPECT_EQ(db_->shardCount(), 4u);
+    db_->shrink(2);
+    EXPECT_EQ(db_->shardCount(), 2u);
+    stop.store(true);
+    for (std::thread &t : clients)
+        t.join();
+    for (int ci = 0; ci < kConns; ++ci)
+        ASSERT_EQ(failures[ci], "") << "connection " << ci;
+
+    WireClient c;
+    ASSERT_TRUE(connectClient(&c));
+    for (int ci = 0; ci < kConns; ++ci)
+        for (std::int64_t k = 0; k < kKeys; ++k) {
+            std::vector<DbValue> got;
+            ASSERT_EQ(c.get("T", ci * 1000 + k, &got), WireStatus::kOk)
+                << ci * 1000 + k;
+            EXPECT_EQ(got[1].i, acked[ci][k]) << ci * 1000 + k;
+        }
+    std::uint64_t n = 0;
+    EXPECT_EQ(c.rowCount("T", &n), WireStatus::kOk);
+    EXPECT_EQ(n, static_cast<std::uint64_t>(kConns * kKeys));
+    c.closeConn();
+    EXPECT_TRUE(drainsClean());
+}
+
+TEST_F(WireServerTest, AutoCommitPutFencesMatchInProcessPersist)
+{
+    // An auto-commit wire put is a one-statement bracket committed
+    // through its member's group-commit drainer: with window 0 it
+    // costs exactly the member fences of an in-process auto-commit
+    // persistRecord on the same member, and none on the coordinator.
+    startServer(2, 4, 0);
+    WireClient c;
+    ASSERT_TRUE(connectClient(&c));
+    ASSERT_EQ(makeTable(&c), WireStatus::kOk);
+    std::vector<std::int64_t> pks;
+    for (std::int64_t pk = 0; pks.size() < 16; ++pk)
+        if (db_->shardIndexForPk(pk) == 0)
+            pks.push_back(pk);
+    NvmDevice &member = db_->shard(0).device();
+    NvmDevice &coord = db_->coordinatorDevice();
+    auto fences = [](NvmDevice &d) { return d.stats().fences.load(); };
+
+    for (std::size_t i = 0; i + 1 < pks.size(); i += 2) {
+        // An insert, then an update of the same row, each way.
+        for (std::int64_t v : {1, 2}) {
+            DbRecord rec;
+            rec.values = row(pks[i], v);
+            std::uint64_t m0 = fences(member);
+            db_->persistRecord("T", rec);
+            std::uint64_t in_process = fences(member) - m0;
+            EXPECT_GT(in_process, 0u);
+
+            std::uint64_t c0 = fences(coord);
+            m0 = fences(member);
+            ASSERT_EQ(c.put("T", row(pks[i + 1], v)), WireStatus::kOk);
+            EXPECT_EQ(fences(member) - m0, in_process)
+                << "pk " << pks[i + 1] << " v " << v;
+            EXPECT_EQ(fences(coord), c0);
+        }
+    }
+    std::uint64_t n = 0;
+    EXPECT_EQ(c.rowCount("T", &n), WireStatus::kOk);
+    EXPECT_EQ(n, pks.size());
+    c.closeConn();
     EXPECT_TRUE(drainsClean());
 }
 
