@@ -3,14 +3,11 @@
  * shard_scaling: HeapFabric and ShardedDatabase throughput vs member
  * count — the horizontal-scaling figure of the sharded runtime.
  *
- * The NVM model runs with a serialized per-device fence drain
- * (NvmConfig::fenceDrainSerialized): every fence holds its device's
- * write-queue token for the modeled drain latency, so one device's
- * bandwidth bounds everything funneled through it — exactly the
- * single-PJH bottleneck the fabric shards away. Drains sleep, so
- * drains on different member devices overlap regardless of host core
- * count, and the scaling column is meaningful even on a 1-core
- * container.
+ * Every fence takes a 20 us slot in its device's write queue (the
+ * NvmDevice model): fences on one device queue behind each other, so
+ * one device's bandwidth bounds everything funneled through it —
+ * exactly the single-PJH bottleneck the fabric shards away — while
+ * fences on different member devices overlap.
  *
  *  - Part 1: T threads pnew+flush Nodes through a fabric, route keys
  *    spread by the consistent-hash ring, members ∈ {1, 2, 4, 8}.
@@ -59,7 +56,6 @@ drainBoundNvm()
 {
     NvmConfig nvm;
     nvm.fenceLatencyNs = kDrainNs;
-    nvm.fenceDrainSerialized = true;
     return nvm;
 }
 
@@ -311,7 +307,7 @@ main()
     bench::JsonReport json("shard_scaling");
     bench::printHeader(
         "shard_scaling — fabric throughput vs member count",
-        "Per-device serialized fence drains (" +
+        "Per-device fence write queues (" +
             std::to_string(kDrainNs / 1000) +
             " us); " + std::to_string(kThreads) +
             " threads; route keys spread by the consistent-hash "

@@ -336,7 +336,6 @@ runOnce(int threads, std::uint64_t window_us, int ops,
     cfg.shard.groupCommitWindowUs = window_us;
     NvmConfig nvm;
     nvm.fenceLatencyNs = 25000;
-    nvm.fenceWaitYields = true;
     ShardedDatabase database(cfg, nvm);
     loadTables(database);
     RmwLocks locks;

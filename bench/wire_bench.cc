@@ -147,7 +147,6 @@ struct Fixture
         cfg.shard.groupCommitWindowUs = DatabaseConfig::kWindowAuto;
         NvmConfig nvm;
         nvm.fenceLatencyNs = fence_ns;
-        nvm.fenceWaitYields = true;
         db = std::make_unique<ShardedDatabase>(cfg, nvm);
         db->createTable(TableSchema{"T",
                                     {{"ID", DbType::kI64},

@@ -1,5 +1,6 @@
 #include "nvm/nvm_device.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -16,23 +17,62 @@ namespace {
 
 std::atomic<std::uint64_t> g_deviceSerial{1};
 
-void
-yieldFor(std::uint64_t ns)
+/*
+ * Wait phases of the fence write-queue model. A fence sleeps only
+ * while its slot ends far away (sleep_for overshoots by tens of
+ * microseconds), waking early; yields the core while the end is a
+ * few microseconds off; and spins the rest.
+ */
+constexpr std::uint64_t kSleepAboveNs = 200'000;
+constexpr std::uint64_t kSleepWakeEarlyNs = 100'000;
+constexpr std::uint64_t kYieldAboveNs = 2'000;
+
+std::uint64_t
+steadyNowNs()
 {
-    if (ns == 0)
-        return;
-    auto until = std::chrono::steady_clock::now() +
-                 std::chrono::nanoseconds(ns);
-    while (std::chrono::steady_clock::now() < until)
-        std::this_thread::yield();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
 }
 
-void
-sleepFor(std::uint64_t ns)
+/** What one steady-clock read costs: the cheapest of a few
+ * back-to-back reads, measured once. */
+std::uint64_t
+clockReadNs()
 {
-    if (ns == 0)
-        return;
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    static const std::uint64_t ns = [] {
+        std::uint64_t best = ~std::uint64_t{0};
+        std::uint64_t prev = steadyNowNs();
+        for (int i = 0; i < 16; ++i) {
+            std::uint64_t now = steadyNowNs();
+            best = std::min(best, now - prev);
+            prev = now;
+        }
+        return best;
+    }();
+    return ns;
+}
+
+/**
+ * Wait until the steady clock reaches @p end_ns. The wait stops once
+ * the next clock read would land past the end, so it ends within one
+ * clock read of it (tens of ns on a VM) rather than one read after
+ * it.
+ */
+void
+waitUntilNs(std::uint64_t end_ns)
+{
+    std::uint64_t read_ns = clockReadNs();
+    for (std::uint64_t now = steadyNowNs(); now + read_ns < end_ns;
+         now = steadyNowNs()) {
+        std::uint64_t left = end_ns - now;
+        if (left > kSleepAboveNs)
+            std::this_thread::sleep_for(
+                std::chrono::nanoseconds(left - kSleepWakeEarlyNs));
+        else if (left > kYieldAboveNs)
+            std::this_thread::yield();
+    }
 }
 
 void
@@ -121,6 +161,11 @@ NvmDevice::fence()
         return;
     if (injector_)
         injector_->onEvent();
+    // The slot is timed from the fence's start: the emulator's own
+    // bookkeeping and line copies below overlap the modeled drain
+    // instead of adding to it.
+    std::uint64_t latency = cfg_.fenceLatencyNs;
+    std::uint64_t start = latency == 0 ? 0 : steadyNowNs();
     stats_.fences.fetch_add(1, std::memory_order_relaxed);
     std::vector<std::size_t> &staged = localShard().staged;
     if (!staged.empty()) {
@@ -135,17 +180,21 @@ NvmDevice::fence()
         }
     }
     staged.clear();
-    if (cfg_.fenceDrainSerialized) {
-        // One drain at a time per device (per-DIMM bandwidth bound);
-        // a sleeping drain frees the host CPU, so drains on sibling
-        // devices overlap even on a single-core host.
-        std::lock_guard<std::mutex> g(drainMu_);
-        sleepFor(cfg_.fenceLatencyNs);
-    } else if (cfg_.fenceWaitYields) {
-        yieldFor(cfg_.fenceLatencyNs);
-    } else {
-        spinFor(cfg_.fenceLatencyNs);
-    }
+
+    // The device's write queue, in virtual time: reserve the slot
+    // [max(start, queue free), +latency] and wait for its end. No
+    // lock is held across the wait, so a preempted fence holds up
+    // nobody: the fences queued behind it wait for its slot, not for
+    // it.
+    if (latency == 0)
+        return;
+    std::uint64_t free_at = queueFreeAtNs_.load(std::memory_order_relaxed);
+    std::uint64_t end;
+    do {
+        end = std::max(start, free_at) + latency;
+    } while (!queueFreeAtNs_.compare_exchange_weak(
+        free_at, end, std::memory_order_relaxed));
+    waitUntilNs(end);
 }
 
 void

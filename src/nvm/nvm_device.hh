@@ -14,9 +14,20 @@
  * This reproduces the failure semantics the paper's §4 protocols are
  * designed against, on commodity DRAM (the paper itself ran on a
  * Viking NVDIMM, which is architecturally ordinary memory plus
- * flush-controlled durability). Flush/fence latency knobs let the
- * benchmarks model the persistence-instruction overhead measured in
- * §6.4.
+ * flush-controlled durability).
+ *
+ * Time has one model, the cost of the persistence instructions
+ * measured in §6.4. Each flushed line busy-waits `flushLatencyNs` on
+ * the flushing core. Each fence then takes a slot in the device's
+ * write queue: the slot starts when the queue frees (or now, if it is
+ * idle) and lasts `fenceLatencyNs`, and the fence returns when its
+ * slot ends. So a lone thread pays the configured latency, concurrent
+ * fences on one device queue behind each other (one DIMM's write
+ * bandwidth), and fences on different devices overlap. The slot is
+ * reserved with one compare-and-swap and no lock is held across the
+ * wait, so a preempted thread stalls nobody. The wait sleeps only
+ * when the slot ends far away, yields the core while it is near, and
+ * spins the last microseconds.
  */
 
 #ifndef ESPRESSO_NVM_NVM_DEVICE_HH
@@ -42,29 +53,16 @@ struct NvmConfig
     /** Busy-wait applied per flushed cache line (models clflush). */
     std::uint64_t flushLatencyNs = 0;
 
-    /** Busy-wait applied per fence (models sfence + queue drain). */
+    /**
+     * Length of one fence's slot in the device write queue (models
+     * sfence + queue drain); see the file comment. Read on every
+     * fence, so a change through NvmDevice::config() applies to the
+     * next fence. Zero makes a fence cost no time.
+     */
     std::uint64_t fenceLatencyNs = 0;
 
-    /**
-     * When true, the fence-latency wait yields the host CPU instead
-     * of busy-spinning. A real sfence stalls only the issuing core;
-     * on a container with fewer host cores than modeled threads a
-     * busy-wait would serialize stalls that real hardware overlaps,
-     * so throughput benchmarks (ycsb_lite) enable this to let
-     * sibling threads run during a fence drain.
-     */
-    bool fenceWaitYields = false;
-
-    /**
-     * When true, the modeled fence drain holds this device's write
-     * queue: concurrent fences on one device serialize their latency
-     * waits, modeling a per-DIMM write-bandwidth bound (the paper's
-     * one-PJH-per-device Table 1 inventory is exactly what a fabric
-     * shards against). The wait sleeps rather than spins, so drains
-     * on *different* devices overlap regardless of host core count.
-     * Off by default: the per-core stall model above stays the
-     * behavior every existing benchmark calibrated against.
-     */
+    /** No effect; every fence uses the write-queue model. Kept only
+     * so existing callers that still set it compile. */
     bool fenceDrainSerialized = false;
 
     /**
@@ -228,8 +226,9 @@ class NvmDevice
      */
     static constexpr std::size_t kCommitStripes = 64;
     std::array<SpinLock, kCommitStripes> commitLocks_;
-    /** Write-queue token for fenceDrainSerialized. */
-    std::mutex drainMu_;
+    /** Steady-clock ns at which the write queue's last reserved
+     * fence slot ends. */
+    std::atomic<std::uint64_t> queueFreeAtNs_{0};
     NvmStats stats_;
     CrashInjector *injector_ = nullptr;
 };

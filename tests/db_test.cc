@@ -1495,7 +1495,6 @@ TEST_F(AsyncCommitTest, DecisionSlotExhaustionParksChains)
     database.createTable(schema());
     NvmConfig &slow = database.shard(1).device().config();
     slow.fenceLatencyNs = 2'000'000;
-    slow.fenceDrainSerialized = true;
 
     std::vector<std::uint64_t> ids;
     std::vector<std::int64_t> pks;
@@ -1550,7 +1549,6 @@ TEST_F(AsyncCommitTest, SnapshotAuditsSeeNoFracturedSums)
     cfg.shard.walShards = 16;
     NvmConfig nvm;
     nvm.fenceLatencyNs = 20'000;
-    nvm.fenceDrainSerialized = true;
     ShardedDatabase database(cfg, nvm);
     database.createTable(schema());
     std::vector<std::vector<std::int64_t>> groups(kGroups);

@@ -236,7 +236,6 @@ TEST(HeapFabricTest, RemoteShardCollectDoesNotBlockAllocation)
     }
     NvmConfig &dev_cfg = fabric->shardDevice(0)->config();
     dev_cfg.fenceLatencyNs = 200000; // 200 us per fence
-    dev_cfg.fenceWaitYields = true;  // free the (possibly single) core
 
     std::atomic<bool> done{false};
     std::thread collector([&]() {

@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for the NVM emulation: flush/fence durability, crash
- * modes, fault injection, and file round-trips.
+ * modes, fault injection, file round-trips, and the fence write-queue
+ * timing model. Timing checks use lower bounds, or upper bounds with
+ * a wide margin over the modeled time, so they hold under sanitizers.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "nvm/nvm_device.hh"
 #include "util/logging.hh"
@@ -150,6 +157,83 @@ TEST(NvmDeviceTest, OutOfRangeFlushPanics)
 {
     NvmDevice dev(4096);
     EXPECT_THROW(dev.flush(dev.toAddr(4095), 16), PanicError);
+}
+
+/** Wall time of running @p fn once. */
+template <typename Fn>
+std::chrono::nanoseconds
+timeIt(Fn &&fn)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::steady_clock::now() - t0;
+}
+
+/** Each of @p devs.size() threads fences once on its device (one
+ * device may appear repeatedly), all released together; returns the
+ * wall time from the release to the last fence's return. */
+std::chrono::nanoseconds
+fenceConcurrently(const std::vector<NvmDevice *> &devs)
+{
+    std::atomic<bool> go{false};
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> threads;
+    for (NvmDevice *dev : devs)
+        threads.emplace_back([&, dev]() {
+            ready.fetch_add(1);
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            dev->fence();
+        });
+    while (ready.load() != devs.size())
+        std::this_thread::yield();
+    return timeIt([&]() {
+        go.store(true, std::memory_order_release);
+        for (auto &t : threads)
+            t.join();
+    });
+}
+
+TEST(NvmFenceModelTest, ConcurrentFencesOnOneDeviceQueue)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr std::chrono::milliseconds kLatency{2};
+    NvmConfig cfg;
+    cfg.fenceLatencyNs = std::chrono::nanoseconds(kLatency).count();
+    NvmDevice dev(4096, cfg);
+    std::vector<NvmDevice *> devs(kThreads, &dev);
+    EXPECT_GE(fenceConcurrently(devs), kThreads * kLatency);
+    EXPECT_EQ(dev.stats().fences, kThreads);
+}
+
+TEST(NvmFenceModelTest, FencesOnDifferentDevicesOverlap)
+{
+    constexpr unsigned kDevices = 4;
+    constexpr std::chrono::milliseconds kLatency{20};
+    NvmConfig cfg;
+    cfg.fenceLatencyNs = std::chrono::nanoseconds(kLatency).count();
+    std::vector<std::unique_ptr<NvmDevice>> owned;
+    std::vector<NvmDevice *> devs;
+    for (unsigned i = 0; i < kDevices; ++i) {
+        owned.push_back(std::make_unique<NvmDevice>(4096, cfg));
+        devs.push_back(owned.back().get());
+    }
+    std::chrono::nanoseconds wall = fenceConcurrently(devs);
+    EXPECT_GE(wall, kLatency);
+    EXPECT_LT(wall, kLatency * 3 / 2) << "fences on distinct devices "
+                                         "must not queue behind each other";
+}
+
+TEST(NvmFenceModelTest, LatencyChangeAppliesToTheNextFence)
+{
+    constexpr std::chrono::milliseconds kLatency{50};
+    NvmDevice dev(4096);
+    dev.fence(); // zero latency: no queue slot at all
+    dev.config().fenceLatencyNs =
+        std::chrono::nanoseconds(kLatency).count();
+    EXPECT_GE(timeIt([&]() { dev.fence(); }), kLatency);
+    dev.config().fenceLatencyNs = 0;
+    EXPECT_LT(timeIt([&]() { dev.fence(); }), kLatency);
 }
 
 } // namespace
