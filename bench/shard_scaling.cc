@@ -24,8 +24,10 @@
  *
  * Expected shape: ≥2.5x at 4 members over the 1-member baseline in
  * parts 1-2 (ideal is 4x; routing skew, the shared volatile side,
- * and scheduler noise eat some of it); post-grow ≥ 2x the pre-grow
- * plateau in part 3 at full op counts.
+ * and scheduler noise eat some of it); in part 3 at full op counts,
+ * post-grow above the pre-grow plateau, approaching part 2's
+ * 4-member plateau (measured 1.70-1.78x on a 4-core host; nothing
+ * checks this ratio, only the exactly-once audit gates the run).
  *
  * Alongside the tables the run writes BENCH_shard_scaling.json (see
  * bench::JsonReport).

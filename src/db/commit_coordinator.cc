@@ -158,6 +158,28 @@ CommitCoordinator::drainBatch(const std::vector<Waiter *> &batch)
     }
 }
 
+std::exception_ptr
+CommitCoordinator::drainCounted(const std::vector<Waiter *> &batch)
+{
+    std::exception_ptr err;
+    try {
+        std::uint64_t t0 = steadyNowNs();
+        drainBatch(batch);
+        noteDrain(steadyNowNs() - t0);
+    } catch (...) {
+        err = std::current_exception();
+    }
+    std::uint64_t txns = 0;
+    for (const Waiter *w : batch)
+        txns += w->kind != EntryKind::kFinish ? 1 : 0;
+    if (txns != 0) {
+        statBatches_.fetch_add(1, std::memory_order_relaxed);
+        statTxns_.fetch_add(txns, std::memory_order_relaxed);
+        bumpMaxBatch(txns);
+    }
+    return err;
+}
+
 void
 CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
 {
@@ -229,25 +251,9 @@ CommitCoordinator::leadBatch(std::unique_lock<std::mutex> &lock)
     }
     lock.unlock();
 
-    std::exception_ptr err;
-    try {
-        std::uint64_t t0 = steadyNowNs();
-        drainBatch(batch);
-        noteDrain(steadyNowNs() - t0);
-    } catch (...) {
-        err = std::current_exception();
-    }
-
-    std::uint64_t txns = 0;
-    for (const Waiter *w : batch)
-        txns += w->kind != EntryKind::kFinish ? 1 : 0;
+    std::exception_ptr err = drainCounted(batch);
     std::vector<Waiter *> asyncs;
     lock.lock();
-    if (txns != 0) {
-        statBatches_.fetch_add(1, std::memory_order_relaxed);
-        statTxns_.fetch_add(txns, std::memory_order_relaxed);
-        bumpMaxBatch(txns);
-    }
     for (Waiter *w : batch) {
         if (w->asyncDone) {
             asyncs.push_back(w);
@@ -274,19 +280,16 @@ void
 CommitCoordinator::commit(WalShard &shard)
 {
     noteArrival();
-    std::uint64_t window = effectiveWindowNs();
-    if (window == 0) {
-        std::uint64_t t0 = steadyNowNs();
-        shard.commitEager();
-        noteDrain(steadyNowNs() - t0);
-        statBatches_.fetch_add(1, std::memory_order_relaxed);
-        statTxns_.fetch_add(1, std::memory_order_relaxed);
-        bumpMaxBatch(1);
+    Waiter self;
+    self.shard = &shard;
+    if (effectiveWindowNs() == 0) {
+        // Eager: a batch of one, drained on the caller's thread. It
+        // neither waits for nor joins another thread's batch.
+        if (std::exception_ptr err = drainCounted({&self}))
+            std::rethrow_exception(err);
         return;
     }
 
-    Waiter self;
-    self.shard = &shard;
     std::unique_lock<std::mutex> lock(mu_);
     pending_.push_back(&self);
     cv_.notify_all();

@@ -39,9 +39,11 @@
  *
  *  - commit(): the classic blocking path — the caller parks until
  *    its commit record is durable (and may be elected leader). With
- *    a zero window it commits eagerly on the caller's own thread, so
- *    single-threaded behavior (and its crash sweep event stream) is
- *    identical to a database without a coordinator.
+ *    a zero window the caller drains its own entry as a batch of one
+ *    through the same drain and accounting as a leader, on its own
+ *    thread: it neither waits for nor joins another thread's batch,
+ *    so single-threaded behavior (and its crash sweep event stream)
+ *    is stage, fence, retire, fence — as without a coordinator.
  *  - commitAsync() / prepareAsync() / finishAsync(): the caller
  *    (an event-loop worker, or a 2PC continuation running on another
  *    member's drainer) parks only the *entry* here and returns; a
@@ -249,6 +251,11 @@ class CommitCoordinator
 
     /** Stage+fence the whole batch; runs on the drain thread. */
     void drainBatch(const std::vector<Waiter *> &batch);
+
+    /** drainBatch, then the post-drain accounting: the drain-time
+     * EWMA (on success) and the batch stats (always). Returns the
+     * drain's exception instead of throwing it. */
+    std::exception_ptr drainCounted(const std::vector<Waiter *> &batch);
 
     /** Stage one entry's first-fence part (images, prepared mark). */
     static void stageFirst(const Waiter &w);

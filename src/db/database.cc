@@ -155,7 +155,6 @@ Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
         ctx.snapshot = kNoSnapshot;
         ctx.ownsSnapshot = false;
     }
-    ctx.rowTx.saveImages = clock_->enterWriter();
     ctx.rowTx.snapshot = ctx.snapshot;
 
     // Fresh control-block state before any marker can reference it.
@@ -175,15 +174,14 @@ Database::beginTx(TxContext &ctx, Isolation iso, Word bracket_snapshot,
 void
 Database::finishCommitLocal(TxContext &ctx)
 {
-    Word ts = 0;
-    if (ctx.rowTx.saveImages) {
+    Word ts;
+    {
         // Allocate + publish the commit timestamp in one clock
         // critical section: a snapshot begun before sees none of
         // this transaction, one begun after sees all of it.
         SpinGuard g(clock_->mu);
         ts = ++clock_->clock;
-        ctrls_[ctx.shardId].commitTs.store(ts,
-                                           std::memory_order_release);
+        publishCommitTsLocked(ctx, ts);
     }
     rows_->finishCommit(ctx.rowTx, ts);
     endTxCommon(ctx);
@@ -192,8 +190,6 @@ Database::finishCommitLocal(TxContext &ctx)
 void
 Database::endTxCommon(TxContext &ctx)
 {
-    clock_->exitWriter(ctx.rowTx.saveImages);
-    ctx.rowTx.saveImages = false;
     ctx.rowTx.snapshot = kNoSnapshot;
     if (ctx.ownsSnapshot)
         clock_->endSnapshot(ctx.snapshot);
@@ -486,7 +482,7 @@ Database::publishCommitTsLocked(TxContext &ctx, Word ts)
 void
 Database::releaseCommittedRows(TxContext &ctx, Word ts)
 {
-    rows_->finishCommit(ctx.rowTx, ctx.rowTx.saveImages ? ts : 0);
+    rows_->finishCommit(ctx.rowTx, ts);
 }
 
 void

@@ -110,8 +110,7 @@ RowStore::syncWithCatalog()
         }
         std::reverse(region.freeRows.begin(), region.freeRows.end());
     }
-    if (clock_ != nullptr)
-        clock_->noteRecoveredVersion(max_ts);
+    clock_->noteRecoveredVersion(max_ts);
 }
 
 DbValue
@@ -195,10 +194,7 @@ RowStore::acquireRow(std::size_t table, TableRegion &region,
     std::atomic<Word> &owner = region.rowOwner[idx];
     if (owner.load(std::memory_order_acquire) == tx.token)
         return false; // already write-locked by this transaction
-    TxnCtrl *self = (ctrls_ != nullptr && tx.token >= 1 &&
-                     tx.token <= ctrlCount_)
-                        ? &ctrls_[tx.token - 1]
-                        : nullptr;
+    TxnCtrl &self = ctrls_[tx.token - 1];
     Word expect = 0;
     std::uint32_t spins = 0;
     std::uint32_t rounds = 0;
@@ -209,8 +205,7 @@ RowStore::acquireRow(std::size_t table, TableRegion &region,
         if (++spins >= 256) {
             spins = 0;
             if (tx.maxSpinRounds != 0 && ++rounds > tx.maxSpinRounds) {
-                if (self != nullptr)
-                    self->waitingFor.store(0, std::memory_order_release);
+                self.waitingFor.store(0, std::memory_order_release);
                 throw TxnAbortError(
                     StatusCode::kBusy,
                     "db: bounded lock wait expired; no-wait "
@@ -220,43 +215,35 @@ RowStore::acquireRow(std::size_t table, TableRegion &region,
             // die with it rather than spin on a lock nobody releases.
             CrashInjector *inj = device_->injector();
             if (inj && inj->tripped()) {
-                if (self != nullptr)
-                    self->waitingFor.store(0, std::memory_order_release);
+                self.waitingFor.store(0, std::memory_order_release);
                 throw SimulatedCrash();
             }
-            if (self != nullptr) {
-                Word holder = owner.load(std::memory_order_acquire);
-                if (holder == 0 || holder > ctrlCount_) {
-                    self->waitingFor.store(0,
-                                           std::memory_order_release);
-                } else {
-                    Word hseq = ctrls_[holder - 1].seq.load(
-                        std::memory_order_acquire);
-                    self->waitingFor.store(
-                        makeDirtyVersion(holder, hseq),
-                        std::memory_order_release);
-                    // Detect only while the sampled holder still owns
-                    // the row: a release between the owner and seq
-                    // reads could stamp the successor transaction's
-                    // seq onto a row it never held, and that edge
-                    // must not feed a cycle.
-                    if (owner.load(std::memory_order_acquire) ==
-                            holder &&
-                        detectDeadlock(tx.token)) {
-                        self->waitingFor.store(
-                            0, std::memory_order_release);
-                        throw TxnAbortError(
-                            StatusCode::kDeadlock,
-                            "db: deadlock detected; this transaction "
-                            "was chosen as the victim");
-                    }
+            Word holder = owner.load(std::memory_order_acquire);
+            if (holder == 0 || holder > ctrlCount_) {
+                self.waitingFor.store(0, std::memory_order_release);
+            } else {
+                Word hseq =
+                    ctrls_[holder - 1].seq.load(std::memory_order_acquire);
+                self.waitingFor.store(makeDirtyVersion(holder, hseq),
+                                      std::memory_order_release);
+                // Detect only while the sampled holder still owns the
+                // row: a release between the owner and seq reads
+                // could stamp the successor transaction's seq onto a
+                // row it never held, and that edge must not feed a
+                // cycle.
+                if (owner.load(std::memory_order_acquire) == holder &&
+                    detectDeadlock(tx.token)) {
+                    self.waitingFor.store(0, std::memory_order_release);
+                    throw TxnAbortError(
+                        StatusCode::kDeadlock,
+                        "db: deadlock detected; this transaction was "
+                        "chosen as the victim");
                 }
             }
             std::this_thread::yield();
         }
     }
-    if (self != nullptr)
-        self->waitingFor.store(0, std::memory_order_release);
+    self.waitingFor.store(0, std::memory_order_release);
     tx.ownedRows.emplace_back(table, idx);
     return true;
 }
@@ -373,8 +360,6 @@ void
 RowStore::markRowWrite(const TableRegion &region, std::size_t idx,
                        Addr addr, std::size_t row_bytes, RowTxState &tx)
 {
-    if (!tx.saveImages)
-        return;
     Word v = loadWord(addr + kWordSize);
     if (versionIsDirty(v))
         return; // tx owns the row, so the marker is already its own
@@ -411,7 +396,7 @@ RowStore::resolveRowLocked(const TableRegion &region, std::size_t idx,
         // writer finished long ago and cannot be resolved here, so
         // fall through to the chain.
         Word token = dirtyVersionToken(v);
-        if (ctrls_ != nullptr && token >= 1 && token <= ctrlCount_) {
+        if (token >= 1 && token <= ctrlCount_) {
             const TxnCtrl &c = ctrls_[token - 1];
             if (c.seq.load(std::memory_order_acquire) ==
                 dirtyVersionSeq(v)) {
@@ -565,11 +550,8 @@ RowStore::insert(std::size_t table, const std::vector<DbValue> &row,
         {
             SpinGuard g(region.indexMu);
             if (!region.graveyard.empty()) {
-                Word min_active =
-                    clock_ != nullptr
-                        ? clock_->minActive()
-                        : SnapshotClock::kNoActiveSnapshots;
-                pruneGraveyardLocked(region, table, min_active);
+                pruneGraveyardLocked(region, table,
+                                     clock_->minActive());
             }
             prev_idx = kNpos;
             reused = false;
@@ -942,9 +924,7 @@ std::size_t
 RowStore::rowCount(std::size_t table)
 {
     TableRegion &region = regions_[table];
-    Word min_active = clock_ != nullptr
-                          ? clock_->minActive()
-                          : SnapshotClock::kNoActiveSnapshots;
+    Word min_active = clock_->minActive();
     SpinGuard g(region.indexMu);
     pruneGraveyardLocked(region, table, min_active);
     // Gravestoned pks are committed-dead — mapped only for the sake
@@ -955,27 +935,20 @@ RowStore::rowCount(std::size_t table)
 void
 RowStore::finishCommit(RowTxState &tx, Word commit_ts)
 {
-    if (commit_ts != 0) {
-        // Stamp every row this transaction dirtied: the marker
-        // becomes a clean commit timestamp. Under the row latch so
-        // chain walks order against the stamp.
-        for (const auto &[t, idx] : tx.ownedRows) {
-            TableRegion &region = regions_[t];
-            std::size_t row_bytes = catalog_->tables()[t].rowBytes();
-            Addr addr = rowAddr(region, idx, row_bytes);
-            SpinGuard rl(rowLatch(region, idx));
-            Word v = loadWord(addr + kWordSize);
-            if (versionIsDirty(v) && dirtyVersionToken(v) == tx.token)
-                storeWord(addr + kWordSize, commit_ts);
-        }
+    // Stamp every row this transaction dirtied: the marker becomes a
+    // clean commit timestamp. Under the row latch so chain walks
+    // order against the stamp.
+    for (const auto &[t, idx] : tx.ownedRows) {
+        TableRegion &region = regions_[t];
+        std::size_t row_bytes = catalog_->tables()[t].rowBytes();
+        Addr addr = rowAddr(region, idx, row_bytes);
+        SpinGuard rl(rowLatch(region, idx));
+        Word v = loadWord(addr + kWordSize);
+        if (versionIsDirty(v) && dirtyVersionToken(v) == tx.token)
+            storeWord(addr + kWordSize, commit_ts);
     }
-    std::vector<Word> active = clock_ != nullptr
-                                   ? clock_->activeSnapshots()
-                                   : std::vector<Word>{};
-    Word min_active = active.empty()
-                          ? SnapshotClock::kNoActiveSnapshots
-                          : active.front();
-    bool keep_dead = commit_ts != 0 && min_active < commit_ts;
+    std::vector<Word> active = clock_->activeSnapshots();
+    bool keep_dead = !active.empty() && active.front() < commit_ts;
     std::vector<std::pair<std::size_t, std::size_t>> gravestoned;
     for (const auto &[t, pk, idx] : tx.deferredPkErase) {
         TableRegion &region = regions_[t];
@@ -1043,9 +1016,7 @@ RowStore::finishRollback(RowTxState &tx)
     // The rollback restored pre-images, so the chains' newest
     // entries duplicate the current rows; prune what no snapshot
     // needs.
-    std::vector<Word> active = clock_ != nullptr
-                                   ? clock_->activeSnapshots()
-                                   : std::vector<Word>{};
+    std::vector<Word> active = clock_->activeSnapshots();
     for (const auto &[t, idx] : tx.ownedRows)
         pruneChain(regions_[t], idx, active);
     // Rows that end the rollback unpublished are this transaction's

@@ -28,16 +28,19 @@
  *
  * MVCC (PR 6): row header word 1 is the version word — the row's
  * commit timestamp, or a dirty marker naming the in-flight writer.
- * Once any snapshot has been taken (SnapshotClock::saveMode),
- * writers push the pre-image of each row they touch onto a volatile
- * per-slot version chain before dirtying it; snapshot readers
+ * Every writer pushes the pre-image of each row it touches onto a
+ * volatile per-slot version chain before dirtying it, and stamps the
+ * row with its commit timestamp at commit; snapshot readers
  * resolve each row to the newest version committed at or before
  * their snapshot, walking the chain when the current bytes are too
  * new. Committed deletes whose timestamp is newer than the oldest
  * active snapshot become gravestones: the slot, pk mapping, and
  * chain stay put (readers still resolve the dead row's history)
  * until no snapshot needs them, then a lazy sweep reaps them.
- * Before the first snapshot ever, all of this is pass-through.
+ * With no snapshot active, commit drops a row's chain at once and a
+ * delete frees its slot directly. Markers and stamps live on lines
+ * the row write flushes anyway, so the bookkeeping adds no flush or
+ * fence; recovery scrubs the markers of dead writers.
  */
 
 #ifndef ESPRESSO_DB_ROW_STORE_HH
@@ -72,8 +75,6 @@ namespace db {
 struct RowTxState
 {
     Word token = 0;
-    /** Maintain version chains + dirty markers (clock save mode). */
-    bool saveImages = false;
     /** Bounded write-lock wait: abort with StatusCode::kBusy after
      * this many 256-spin rounds instead of waiting forever (0 =
      * unbounded). No-wait transactions — the network front door's
@@ -100,8 +101,6 @@ struct RowTxState
 class RowStore
 {
   public:
-    RowStore() = default;
-
     /**
      * @param device backing device.
      * @param base row-region base address.
@@ -109,15 +108,13 @@ class RowStore
      * @param catalog schema source.
      * @param rows_per_table fixed table capacity.
      * @param ctrls in-flight transaction control blocks, indexed by
-     *        token - 1 (may be null: no MVCC, no deadlock checks).
+     *        token - 1.
      * @param ctrl_count number of entries in @p ctrls.
-     * @param clock the commit clock / snapshot registry (may be
-     *        null alongside @p ctrls).
+     * @param clock the commit clock / snapshot registry.
      */
     RowStore(NvmDevice *device, Addr base, std::size_t size,
              Catalog *catalog, std::size_t rows_per_table,
-             TxnCtrl *ctrls = nullptr, unsigned ctrl_count = 0,
-             SnapshotClock *clock = nullptr);
+             TxnCtrl *ctrls, unsigned ctrl_count, SnapshotClock *clock);
 
     RowStore(const RowStore &) = delete;
     RowStore &operator=(const RowStore &) = delete;
@@ -182,12 +179,11 @@ class RowStore
 
     /**
      * Apply deferred frees and release write locks (durable commit
-     * already happened). @p commit_ts != 0 stamps every row this
-     * transaction wrote with its commit timestamp; deletes too new
-     * for the oldest active snapshot turn into gravestones instead
-     * of freeing their slot.
+     * already happened). Stamps every row this transaction wrote
+     * with @p commit_ts; deletes too new for the oldest active
+     * snapshot turn into gravestones instead of freeing their slot.
      */
-    void finishCommit(RowTxState &tx, Word commit_ts = 0);
+    void finishCommit(RowTxState &tx, Word commit_ts);
 
     /** Discard deferred frees/erases, release write locks (the undo
      * restore + reconcileRange already repaired the indexes), and
@@ -317,7 +313,7 @@ class RowStore
     /** Under the row latch, before the first byte of @p tx's write
      * lands: push the row's pre-image onto its version chain and
      * replace the clean version word with @p tx's dirty marker.
-     * No-op when !tx.saveImages or the row is already ours-dirty. */
+     * No-op when the row is already ours-dirty. */
     void markRowWrite(const TableRegion &region, std::size_t idx,
                       Addr addr, std::size_t row_bytes,
                       RowTxState &tx);

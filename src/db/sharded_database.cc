@@ -8,7 +8,6 @@
 
 #include "db/wal.hh"
 #include "nvm/crash_injector.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace espresso {
@@ -69,12 +68,8 @@ ShardedDatabase::ShardedDatabase(const ShardedDatabaseConfig &cfg,
                                  NvmConfig nvm_cfg)
     : cfg_(cfg), nvmCfg_(nvm_cfg)
 {
-    unsigned shards =
-        cfg.shards ? cfg.shards : envUnsigned("ESPRESSO_SHARDS", 1);
-    vnodes_ = cfg.vnodes
-                  ? cfg.vnodes
-                  : envUnsigned("ESPRESSO_SHARD_VNODES",
-                                ShardRouter::kDefaultVnodes);
+    auto [shards, vnodes] = resolveShardLayout(cfg.shards, cfg.vnodes);
+    vnodes_ = vnodes;
     coordDev_ = std::make_unique<NvmDevice>(
         DecisionLog::bytesFor(kCoordSlots), nvm_cfg);
     coordLog_ = DecisionLog(coordDev_.get(), 0, kCoordSlots);
@@ -86,27 +81,11 @@ ShardedDatabase::ShardedDatabase(const ShardedDatabaseConfig &cfg,
         shards_.push_back(
             std::make_unique<Database>(cfg.shard, nvm_cfg, &clock_));
     memberCount_.store(shards, std::memory_order_release);
-    publishRouting(ShardRouter(shards, vnodes_),
-                   ShardRouter(shards, vnodes_), false);
+    routing_.publish(ShardRouter(shards, vnodes_),
+                     ShardRouter(shards, vnodes_), false);
 }
 
 ShardedDatabase::~ShardedDatabase() = default;
-
-void
-ShardedDatabase::publishRouting(ShardRouter committed, ShardRouter next,
-                                bool migrating)
-{
-    auto r = std::make_unique<DbRouting>();
-    r->committed = std::move(committed);
-    r->next = std::move(next);
-    r->migrating = migrating;
-    const DbRouting *raw = r.get();
-    {
-        SpinGuard g(routingMu_);
-        routingHistory_.push_back(std::move(r));
-    }
-    routing_.store(raw, std::memory_order_release);
-}
 
 void
 ShardedDatabase::joinShard(Bracket *b, unsigned idx)
@@ -638,7 +617,7 @@ bool
 ShardedDatabase::routed(std::int64_t pk, bool write, Probe &&probe,
                         Last &&last)
 {
-    const DbRouting &rt = routingRef();
+    const RoutingEpoch &rt = routingRef();
     unsigned nidx =
         rt.next.shardForKey(static_cast<std::uint64_t>(pk));
     Bracket *b = write ? boundBracket() : nullptr;
@@ -824,8 +803,8 @@ ShardedDatabase::runMembershipChangeLocked(unsigned from,
         addMemberLocked();
     quiesceBrackets();
     memberCount_.store(bound, std::memory_order_release);
-    publishRouting(ShardRouter(from, vnodes_),
-                   ShardRouter(target, vnodes_), true);
+    routing_.publish(ShardRouter(from, vnodes_),
+                     ShardRouter(target, vnodes_), true);
     releaseBrackets();
 
     // Migrate: stream every remapped row to its new-ring home while
@@ -835,8 +814,8 @@ ShardedDatabase::runMembershipChangeLocked(unsigned from,
     // Commit: drain brackets begun against the pair, then retire
     // the old epoch.
     quiesceBrackets();
-    publishRouting(ShardRouter(target, vnodes_),
-                   ShardRouter(target, vnodes_), false);
+    routing_.publish(ShardRouter(target, vnodes_),
+                     ShardRouter(target, vnodes_), false);
     memberCount_.store(target, std::memory_order_release);
     migrPending_ = false;
     releaseBrackets();

@@ -436,28 +436,7 @@ class ShardedDatabase
      * integer pk. */
     std::int64_t pkOf(const std::string &table, const DbRecord &record);
 
-    /**
-     * The published routing epoch pair. While a membership change is
-     * migrating, writes route by @p next and reads probe next-then-
-     * committed; outside a change the two rings are identical.
-     * Instances are immutable once published and retained until
-     * destruction, so a lock-free reader's reference never dangles.
-     */
-    struct DbRouting
-    {
-        ShardRouter committed;
-        ShardRouter next;
-        bool migrating = false;
-    };
-
-    const DbRouting &
-    routingRef() const
-    {
-        return *routing_.load(std::memory_order_acquire);
-    }
-
-    void publishRouting(ShardRouter committed, ShardRouter next,
-                        bool migrating);
+    const RoutingEpoch &routingRef() const { return *routing_.current(); }
 
     /** @name Membership-change machinery (membershipMu_ held) */
     /// @{
@@ -491,12 +470,8 @@ class ShardedDatabase
     /** Member engine sizing, kept for joiners. */
     NvmConfig nvmCfg_;
 
-    /** Current routing epoch pair (see DbRouting). */
-    std::atomic<const DbRouting *> routing_{nullptr};
-    /** Every routing ever published (lock-free readers may still
-     * hold references; guarded by routingMu_). */
-    std::vector<std::unique_ptr<DbRouting>> routingHistory_;
-    SpinLock routingMu_;
+    /** Current routing epoch pair. */
+    RoutingEpochs routing_;
 
     /** Listed members (see shardCount()). */
     std::atomic<unsigned> memberCount_{0};

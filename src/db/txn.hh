@@ -11,9 +11,7 @@
  *
  * Isolation levels:
  *  - kReadUncommitted (default, the pre-PR-6 behavior): reads never
- *    see torn rows but may see in-flight row images. Zero MVCC
- *    overhead on the write path while no snapshot has ever been
- *    taken.
+ *    see torn rows but may see in-flight row images.
  *  - kSnapshot: the transaction takes a consistent snapshot S at
  *    begin. Reads resolve every row to its newest version committed
  *    at or before S, reconstructing overwritten rows from volatile
@@ -24,6 +22,13 @@
  *    snapshot, so it does not observe its own uncommitted writes —
  *    write-heavy transactions should use kReadUncommitted (their
  *    writes are still fully atomic and durable).
+ *
+ * Every writer, at either level, keeps the version bookkeeping: it
+ * saves each row's pre-image and marks the row dirty before its first
+ * write, and stamps it with a commit timestamp at commit. A snapshot
+ * can therefore begin at any moment without waiting for writers.
+ * The bookkeeping is volatile (markers and stamps ride lines the row
+ * write flushes anyway), so it adds no flush or fence.
  *
  * Version words: row header word 1 holds the row's commit timestamp
  * (clean, top bit 0) or an in-flight dirty marker packing the
@@ -37,7 +42,6 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "db/status.hh"
@@ -125,45 +129,31 @@ struct alignas(kCacheLineSize) TxnCtrl
  * so a cross-shard commit flips visibility atomically for all
  * members.
  *
- * Critical sections of @p mu: commit-timestamp allocation (and, for
- * cross-shard commits, publication of that timestamp into every
- * member's TxnCtrl) and snapshot registration. A snapshot therefore
- * sees a multi-row, multi-member commit entirely or not at all.
+ * Critical sections of @p mu: commit-timestamp allocation (and
+ * publication of that timestamp into every committing member's
+ * TxnCtrl) and snapshot registration. A snapshot therefore sees a
+ * multi-row, multi-member commit entirely or not at all. Since every
+ * commit is stamped, a snapshot begin never waits for a writer.
  */
 class SnapshotClock
 {
   public:
     static constexpr Word kNoActiveSnapshots = ~Word(0);
 
-    /** Guards clock/saveMode/the registry; held across commit-ts
+    /** Guards clock and the registry; held across commit-ts
      * publication and snapshot-begin reads. */
     SpinLock mu;
 
     /** Last committed timestamp (starts at 1; guarded by mu). */
     Word clock = 1;
 
-    /** Sticky: set by the first snapshot ever taken; from then on
-     * every writer maintains version chains and dirty markers.
-     * Guarded by mu. */
-    bool saveMode = false;
-
-    /** Register a snapshot and return its timestamp S. Drains
-     * writers that began before save mode (their commits carry no
-     * stamps, which is only sound if they finish before this
-     * snapshot's first read). */
+    /** Register a snapshot and return its timestamp S. */
     Word
     beginSnapshot()
     {
-        Word s;
-        {
-            SpinGuard g(mu);
-            saveMode = true;
-            s = clock;
-            active_.insert(s);
-        }
-        while (noSaveInflight_.load(std::memory_order_acquire) != 0)
-            std::this_thread::yield();
-        return s;
+        SpinGuard g(mu);
+        active_.insert(clock);
+        return clock;
     }
 
     void
@@ -193,26 +183,6 @@ class SnapshotClock
         return {active_.begin(), active_.end()};
     }
 
-    /** Writer admission at begin: true = maintain version chains
-     * (save mode); false = the legacy zero-overhead path, counted so
-     * a later snapshot can drain it. */
-    bool
-    enterWriter()
-    {
-        SpinGuard g(mu);
-        if (saveMode)
-            return true;
-        noSaveInflight_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-
-    void
-    exitWriter(bool save_images)
-    {
-        if (!save_images)
-            noSaveInflight_.fetch_sub(1, std::memory_order_release);
-    }
-
     /** Raise the clock to at least @p v (crash recovery: committed
      * rows must stay in the past of new snapshots). */
     void
@@ -223,22 +193,18 @@ class SnapshotClock
             clock = v;
     }
 
-    /** After a simulated power failure: registered snapshots and
-     * counted writers belong to dead threads (callers quiesced). The
-     * clock value itself only ever ratchets up. */
+    /** After a simulated power failure: registered snapshots belong
+     * to dead threads (callers quiesced). The clock value itself
+     * only ever ratchets up. */
     void
     resetAfterCrash()
     {
-        {
-            SpinGuard g(mu);
-            active_.clear();
-        }
-        noSaveInflight_.store(0, std::memory_order_release);
+        SpinGuard g(mu);
+        active_.clear();
     }
 
   private:
     std::multiset<Word> active_; ///< guarded by mu
-    std::atomic<Word> noSaveInflight_{0};
 };
 
 /**

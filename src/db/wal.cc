@@ -108,6 +108,9 @@ WalShard::logRange(Addr addr, std::size_t len)
 void
 WalShard::stageCommit()
 {
+    if (!active())
+        panic(strCat("db wal: shard ", id_,
+                     ": commit outside a transaction"));
     Header *h = header();
     Addr cursor = payload();
     for (Word i = 0; i < h->count; ++i) {
@@ -143,18 +146,6 @@ WalShard::stagePrepare(Word txn_id)
     stageCommit();
     header()->prepared = txn_id;
     device_->flush(base_, sizeof(Header));
-}
-
-void
-WalShard::commitEager()
-{
-    if (!active())
-        panic(strCat("db wal: shard ", id_,
-                     ": commit outside a transaction"));
-    stageCommit();
-    device_->fence();
-    stageRetire();
-    device_->fence();
 }
 
 void

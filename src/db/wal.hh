@@ -77,15 +77,13 @@ class WalShard
      */
     void logRange(Addr addr, std::size_t len);
 
-    /** Eager commit: stage + fence + retire + fence (seed path). */
-    void commitEager();
-
     /** Commit a transaction that logged nothing: clear the bracket
      * without any fence (there is nothing to make durable). */
     void retireEmpty();
 
-    /** Stage the new images of every logged range (no fence). Group
-     * commit calls this for each batched shard, then fences once. */
+    /** Stage the new images of every logged range (no fence). The
+     * commit coordinator calls this for each batched shard, then
+     * fences once. */
     void stageCommit();
 
     /** Stage the durable commit record: active=0, prepared=0,

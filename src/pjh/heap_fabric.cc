@@ -12,12 +12,6 @@
 
 namespace espresso {
 
-unsigned
-HeapFabric::shardsFromEnv()
-{
-    return envUnsigned("ESPRESSO_SHARDS", 1);
-}
-
 HeapFabric::HeapFabric(KlassRegistry *registry,
                        VolatileHeap *volatile_heap, NvmConfig nvm_cfg)
     : registry_(registry), volatileHeap_(volatile_heap),
@@ -94,27 +88,11 @@ HeapFabric::publishMember(unsigned k, PjhHeap *heap)
 }
 
 void
-HeapFabric::publishRouting(ShardRouter committed, ShardRouter next,
-                           bool migrating)
-{
-    auto rt = std::make_unique<FabricRouting>();
-    rt->committed = std::move(committed);
-    rt->next = std::move(next);
-    rt->migrating = migrating;
-    routing_.store(rt.get(), std::memory_order_release);
-    routingHistory_.push_back(std::move(rt));
-}
-
-void
 HeapFabric::create(const FabricConfig &cfg)
 {
     if (exists())
         fatal("HeapFabric::create: fabric already exists");
-    unsigned shards = cfg.shards ? cfg.shards : shardsFromEnv();
-    unsigned vnodes = cfg.vnodes
-                          ? cfg.vnodes
-                          : envUnsigned("ESPRESSO_SHARD_VNODES",
-                                        ShardRouter::kDefaultVnodes);
+    auto [shards, vnodes] = resolveShardLayout(cfg.shards, cfg.vnodes);
     if (shards > RingManifestData::kMaxShards)
         fatal("HeapFabric::create: shard count exceeds manifest "
               "capacity");
@@ -141,7 +119,7 @@ HeapFabric::create(const FabricConfig &cfg)
         DecisionLog(manifestDev_.get(), rootIntentsOff(), kRootStripes);
     rootIntents_.format();
     ShardRouter ring(shards, vnodes);
-    publishRouting(ring, ring, false);
+    routing_.publish(ring, ring, false);
 }
 
 void
@@ -209,7 +187,7 @@ HeapFabric::recover(SafetyLevel safety)
         manifest_.commit(creating);
     n = static_cast<unsigned>(manifest_.data().shardCount);
     ShardRouter ring(n, static_cast<unsigned>(d.vnodes));
-    publishRouting(ring, ring, false);
+    routing_.publish(ring, ring, false);
     replayRootIntents();
 
     if (migr) {
@@ -322,14 +300,14 @@ const ShardRouter &
 HeapFabric::router() const
 {
     static const ShardRouter kEmpty;
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     return rt ? rt->committed : kEmpty;
 }
 
 bool
 HeapFabric::migrating() const
 {
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     return rt && rt->migrating;
 }
 
@@ -342,7 +320,7 @@ HeapFabric::shardIndexFor(const std::string &route_key) const
 unsigned
 HeapFabric::shardIndexForWrite(const std::string &route_key) const
 {
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     if (!rt)
         fatal("HeapFabric: routing before create/recover");
     return rt->next.shardForName(route_key);
@@ -380,7 +358,7 @@ HeapFabric::shardForWrite(const std::string &route_key) const
 PjhHeap *
 HeapFabric::shardForKeyWrite(std::uint64_t key) const
 {
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     if (!rt)
         fatal("HeapFabric: routing before create/recover");
     PjhHeap *h = shard(rt->next.shardForKey(key));
@@ -419,7 +397,7 @@ HeapFabric::setRoot(const std::string &name, Oop obj)
     // A null publish lands on the WRITE ring's shard: during a
     // membership change the name's post-change home is where future
     // lookups probe first.
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     if (!rt)
         fatal("HeapFabric::setRoot: fabric is not attached");
     PjhHeap *target =
@@ -475,7 +453,7 @@ HeapFabric::setRoot(const std::string &name, Oop obj)
 Oop
 HeapFabric::getRoot(const std::string &name) const
 {
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     if (!rt)
         return Oop();
     // Probe one member: its kRoot binding first; on a miss, its
@@ -546,7 +524,7 @@ HeapFabric::hasRoot(const std::string &name) const
 {
     if (!getRoot(name).isNull())
         return true;
-    const FabricRouting *rt = routingRef();
+    const RoutingEpoch *rt = routing_.current();
     if (!rt)
         return false;
     PjhHeap *ring = shard(rt->next.shardForName(name));
@@ -787,7 +765,7 @@ HeapFabric::completeMembershipChangeLocked()
     // reads probe next, then committed + forwards.
     ShardRouter old_ring(from, static_cast<unsigned>(d.vnodes));
     ShardRouter new_ring(target, static_cast<unsigned>(d.vnodes));
-    publishRouting(old_ring, new_ring, true);
+    routing_.publish(old_ring, new_ring, true);
 
     // 3. Stream each source member's remapped roots to their new
     // homes; the durable migrated flag makes a crashed change resume
@@ -803,7 +781,7 @@ HeapFabric::completeMembershipChangeLocked()
     // 4. The commit fence: the new membership (and epoch) is
     // durable; old-epoch state is now garbage to clean up.
     manifest_.commitMembership();
-    publishRouting(new_ring, new_ring, false);
+    routing_.publish(new_ring, new_ring, false);
 
     // 5. Post-commit cleanup (also recover()'s stale-record path).
     finishMigrationCleanupLocked();

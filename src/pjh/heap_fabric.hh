@@ -121,9 +121,6 @@ class HeapFabric
     HeapFabric(const HeapFabric &) = delete;
     HeapFabric &operator=(const HeapFabric &) = delete;
 
-    /** Resolve a shard count of 0 (ESPRESSO_SHARDS, then 1). */
-    static unsigned shardsFromEnv();
-
     /** @name Lifecycle */
     /// @{
     /** Format the manifest and every shard (crash-tolerant; see
@@ -369,30 +366,9 @@ class HeapFabric
     /// @}
 
   private:
-    /** One epoch pair of rings, published atomically so traffic
-     * threads read a consistent (committed, next, migrating) triple.
-     * Old instances stay alive until fabric destruction — a reader
-     * may still hold one. */
-    struct FabricRouting
-    {
-        ShardRouter committed;
-        ShardRouter next;
-        bool migrating = false;
-    };
-
     void wireShard(PjhHeap *heap);
     void unwireShard(PjhHeap *heap);
     void dropShardHeap(unsigned i);
-
-    const FabricRouting *
-    routingRef() const
-    {
-        return routing_.load(std::memory_order_acquire);
-    }
-
-    /** Publish a new routing epoch pair (membership contexts only). */
-    void publishRouting(ShardRouter committed, ShardRouter next,
-                        bool migrating);
 
     /** Publish member @p k's heap pointer for lock-free readers and
      * raise the slot high-water mark. */
@@ -464,10 +440,9 @@ class HeapFabric
     /** Member-slot high-water mark (shardCount()). */
     std::atomic<unsigned> memberSlots_{0};
 
-    /** Current epoch pair; history keeps old pairs alive for
-     * readers that loaded them before a swap. */
-    std::atomic<const FabricRouting *> routing_{nullptr};
-    std::vector<std::unique_ptr<FabricRouting>> routingHistory_;
+    /** Current routing epoch pair (published in membership
+     * contexts). */
+    RoutingEpochs routing_;
 
     /** Serializes grow/shrink (and their crash-resume) runs. */
     std::mutex membershipMu_;

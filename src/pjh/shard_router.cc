@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "nvm/nvm_device.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace espresso {
@@ -68,6 +69,31 @@ ShardRouter::shardForHash(std::uint64_t hash) const
     if (it == ring_.end())
         it = ring_.begin();
     return it->shard;
+}
+
+ShardLayout
+resolveShardLayout(unsigned shards, unsigned vnodes)
+{
+    return {shards ? shards : envUnsigned("ESPRESSO_SHARDS", 1),
+            vnodes ? vnodes
+                   : envUnsigned("ESPRESSO_SHARD_VNODES",
+                                 ShardRouter::kDefaultVnodes)};
+}
+
+void
+RoutingEpochs::publish(ShardRouter committed, ShardRouter next,
+                       bool migrating)
+{
+    auto e = std::make_unique<RoutingEpoch>();
+    e->committed = std::move(committed);
+    e->next = std::move(next);
+    e->migrating = migrating;
+    const RoutingEpoch *raw = e.get();
+    {
+        std::lock_guard<std::mutex> g(historyMu_);
+        history_.push_back(std::move(e));
+    }
+    current_.store(raw, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------

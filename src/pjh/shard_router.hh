@@ -31,7 +31,10 @@
 #ifndef ESPRESSO_PJH_SHARD_ROUTER_HH
 #define ESPRESSO_PJH_SHARD_ROUTER_HH
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -105,6 +108,56 @@ class ShardRouter
     std::vector<Point> ring_;
     unsigned shards_ = 0;
     unsigned vnodes_ = 0;
+};
+
+/** A sharded layer's member count and ring points per member. */
+struct ShardLayout
+{
+    unsigned shards;
+    unsigned vnodes;
+};
+
+/** Resolve configured sizing: 0 @p shards reads ESPRESSO_SHARDS
+ * (then 1), 0 @p vnodes reads ESPRESSO_SHARD_VNODES (then
+ * ShardRouter::kDefaultVnodes). */
+ShardLayout resolveShardLayout(unsigned shards, unsigned vnodes);
+
+/**
+ * One routing epoch pair. While a membership change is migrating,
+ * writes route by @p next and reads probe next-then-committed;
+ * outside a change the two rings are identical.
+ */
+struct RoutingEpoch
+{
+    ShardRouter committed;
+    ShardRouter next;
+    bool migrating = false;
+};
+
+/**
+ * The current RoutingEpoch of a sharded layer (the heap fabric, the
+ * sharded database), swapped atomically so traffic threads read a
+ * consistent triple. Published instances are immutable and live
+ * until destruction, so a lock-free reader's pointer never dangles.
+ */
+class RoutingEpochs
+{
+  public:
+    /** The current pair; null before the first publish. */
+    const RoutingEpoch *
+    current() const
+    {
+        return current_.load(std::memory_order_acquire);
+    }
+
+    /** Publish a new pair (membership contexts only). */
+    void publish(ShardRouter committed, ShardRouter next,
+                 bool migrating);
+
+  private:
+    std::atomic<const RoutingEpoch *> current_{nullptr};
+    std::mutex historyMu_;
+    std::vector<std::unique_ptr<RoutingEpoch>> history_;
 };
 
 /** The persistent manifest record (manifest-device offset 0). */

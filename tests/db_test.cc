@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 
@@ -345,7 +346,10 @@ TEST(WalRecoveryTest, CorruptHeaderIsDiscardedNotWalked)
     // The discarded segment is reusable.
     shard.begin();
     shard.logRange(data, 64);
-    shard.commitEager();
+    shard.stageCommit();
+    dev.fence();
+    shard.stageRetire();
+    dev.fence();
     EXPECT_FALSE(shard.active());
     setWarningsEnabled(true);
 }
@@ -1154,6 +1158,86 @@ TEST_F(TxnApiTest, SnapshotReaderSeesBeginTimeVersions)
     for (std::int64_t id = 0; id < 16; ++id)
         EXPECT_EQ(get(id), 1);
     EXPECT_TRUE(r2.commit().isOk());
+}
+
+TEST_F(TxnApiTest, FirstSnapshotDoesNotWaitForAnOpenWriter)
+{
+    // No snapshot was ever taken on this engine. An open
+    // read-uncommitted writer has dirtied row 1; a snapshot begun on
+    // another thread must neither wait for it nor see its image.
+    Txn w = db_->beginTxn();
+    put(1, 5);
+    auto reader = std::async(std::launch::async, [this]() {
+        Txn r = db_->beginTxn({Isolation::kSnapshot});
+        std::int64_t v = get(1);
+        EXPECT_TRUE(r.commit().isOk());
+        return v;
+    });
+    bool returned = reader.wait_for(std::chrono::seconds(5)) ==
+                    std::future_status::ready;
+    EXPECT_TRUE(returned) << "snapshot begin waited for the writer";
+    // Commit either way, so a begin that does wait can finish.
+    EXPECT_TRUE(w.commit().isOk());
+    std::int64_t seen = reader.get();
+    if (returned) {
+        EXPECT_EQ(seen, 0) << "snapshot saw an uncommitted image";
+    }
+
+    Txn r2 = db_->beginTxn({Isolation::kSnapshot});
+    EXPECT_EQ(get(1), 5);
+    EXPECT_TRUE(r2.commit().isOk());
+}
+
+TEST(PersistenceCountTest, EagerRowWritesWithoutSnapshots)
+{
+    // Version markers and commit stamps ride lines that row writes
+    // flush anyway: they add no flush call, line or fence. Pinned
+    // per statement on a single thread at a zero window, before any
+    // snapshot was taken.
+    DatabaseConfig cfg;
+    cfg.rowRegionSize = 4u << 20;
+    cfg.rowsPerTable = 64;
+    cfg.groupCommitWindowUs = 0;
+    Database db(cfg);
+    db.createTable(TableSchema{
+        "T", {{"ID", DbType::kI64}, {"V", DbType::kI64}}, 0,
+        TableSchema::kNoIndex});
+    const NvmStats &st = db.device().stats();
+    struct Counts
+    {
+        std::uint64_t fences, lines, flushCalls;
+    };
+    auto delta = [&st](const auto &op) {
+        Counts before{st.fences.load(), st.linesFlushed.load(),
+                      st.flushCalls.load()};
+        op();
+        return Counts{st.fences.load() - before.fences,
+                      st.linesFlushed.load() - before.lines,
+                      st.flushCalls.load() - before.flushCalls};
+    };
+    DbRecord rec;
+    rec.values = {DbValue::ofI64(1), DbValue::ofI64(10)};
+    Counts ins = delta([&] { db.persistRecord("T", rec); });
+    rec.values[1] = DbValue::ofI64(11);
+    rec.dirtyMask = 1ull << 1;
+    Counts upd = delta([&] { db.persistRecord("T", rec); });
+    Counts del = delta([&] { EXPECT_TRUE(db.deleteRecord("T", 1)); });
+
+    auto expect = [](const Counts &c, std::uint64_t fences,
+                     std::uint64_t lines, std::uint64_t flush_calls,
+                     const char *what) {
+        EXPECT_EQ(c.fences, fences) << what;
+        EXPECT_EQ(c.lines, lines) << what;
+        EXPECT_EQ(c.flushCalls, flush_calls) << what;
+    };
+    expect(ins, 4, 9, 7, "insert");
+    expect(upd, 3, 13, 6, "update");
+    expect(del, 3, 6, 6, "delete");
+
+    CommitCoordinator::Stats cs = db.commitCoordinator().stats();
+    EXPECT_EQ(cs.batches, 3u);
+    EXPECT_EQ(cs.txns, 3u);
+    EXPECT_EQ(cs.maxBatch, 1u);
 }
 
 TEST_F(TxnApiTest, FirstCommitterWinsReportsConflict)
