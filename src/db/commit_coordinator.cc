@@ -127,23 +127,15 @@ CommitCoordinator::drainBatch(const std::vector<Waiter *> &batch)
     }
     if (first && pool_pays && batch.size() >= kParallelDrainMin) {
         // Wide burst: fan the first stage out — each worker stages
-        // its slice of shards and fences them, in parallel. Pool
-        // bodies must not throw; a simulated crash is re-raised here.
+        // its slice of shards and fences them, in parallel. The pool
+        // re-raises a simulated crash once every worker has returned.
         unsigned n = std::min<unsigned>(
             kDrainWorkers, static_cast<unsigned>(batch.size()));
-        std::vector<std::exception_ptr> errs(n);
         pool_.run(n, [&](unsigned w) {
-            try {
-                for (std::size_t i = w; i < batch.size(); i += n)
-                    stageFirst(*batch[i]);
-                device_->fence();
-            } catch (...) {
-                errs[w] = std::current_exception();
-            }
+            for (std::size_t i = w; i < batch.size(); i += n)
+                stageFirst(*batch[i]);
+            device_->fence();
         });
-        for (const std::exception_ptr &e : errs)
-            if (e)
-                std::rethrow_exception(e);
     } else if (first) {
         for (const Waiter *w : batch)
             stageFirst(*w);

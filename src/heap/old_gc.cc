@@ -28,7 +28,7 @@ OldGc::collect()
 }
 
 void
-OldGc::markRef(Addr ref)
+OldGc::claim(Addr ref)
 {
     if (ref == kNullAddr || !h_.inOld(ref))
         return;
@@ -36,13 +36,13 @@ OldGc::markRef(Addr ref)
         return;
     Oop obj(ref);
     marks_.markObject(ref, obj.sizeInBytes());
-    markStack_.push_back(ref);
+    grayStack_.push_back(ref);
 }
 
 void
 OldGc::markFromRoots()
 {
-    auto root_visitor = [this](Addr slot) { markRef(loadWord(slot)); };
+    auto root_visitor = [this](Addr slot) { claim(loadWord(slot)); };
 
     h_.visitAllRootSlots(root_visitor);
 
@@ -61,11 +61,11 @@ OldGc::markFromRoots()
         a += o.sizeInBytes();
     }
 
-    while (!markStack_.empty()) {
-        Oop obj(markStack_.back());
-        markStack_.pop_back();
+    while (!grayStack_.empty()) {
+        Oop obj(grayStack_.back());
+        grayStack_.pop_back();
         obj.forEachRefSlot(
-            [this](Addr slot) { markRef(loadWord(slot)); });
+            [this](Addr slot) { claim(loadWord(slot)); });
     }
 }
 

@@ -31,7 +31,7 @@ class OldGc
 
   private:
     void markFromRoots();
-    void markRef(Addr ref);
+    void claim(Addr ref);
     void compact();
     void fixHeapExternalSlots();
     void fixSlot(Addr slot);
@@ -41,7 +41,7 @@ class OldGc
     std::vector<Word> liveStorage_;
     MarkBitmap marks_;
     RegionTable regions_;
-    std::vector<Addr> markStack_;
+    std::vector<Addr> grayStack_;
 };
 
 } // namespace espresso

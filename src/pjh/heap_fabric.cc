@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <exception>
 #include <mutex>
 #include <unordered_map>
 
@@ -557,32 +556,15 @@ HeapFabric::collectAll()
                                              live.size()));
     workers = std::min<unsigned>(
         std::max(workers, 1u), static_cast<unsigned>(live.size()));
-    if (workers <= 1) {
-        for (unsigned i : live)
-            collectShard(i);
-        return;
-    }
-
     std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::exception_ptr err;
     gcPool_.run(workers, [&](unsigned) {
-        try {
-            for (;;) {
-                std::size_t n =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (n >= live.size())
-                    return;
-                collectShard(live[n]);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> g(err_mu);
-            if (!err)
-                err = std::current_exception();
+        for (;;) {
+            std::size_t n = next.fetch_add(1, std::memory_order_relaxed);
+            if (n >= live.size())
+                return;
+            collectShard(live[n]);
         }
     });
-    if (err)
-        std::rethrow_exception(err);
 }
 
 void

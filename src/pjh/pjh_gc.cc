@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <exception>
 #include <thread>
 
 #include "pjh/klass_segment.hh"
@@ -20,14 +19,58 @@ struct RootJournalEntry
     Word destOffset; ///< new value, as a data-heap offset
 };
 
-/** One parallel-mark worker's claimed-object stack. Thieves lock the
- * owner's mutex and take the coldest half from the bottom. */
-struct MarkWorker
+/** State the workers of one PjhGc::trace share. The bitmap claim is
+ * the only per-object shared write; this is touched only when work
+ * changes hands and at termination. */
+struct TraceShared
 {
     std::mutex mu;
-    std::vector<Addr> stack;
-    std::uint64_t marked = 0;
+    std::vector<Addr> handoff; ///< work given away to idle workers
+    std::atomic<bool> handoffReady{false}; ///< handoff non-empty
+    std::atomic<unsigned> idle{0};         ///< workers out of work
+    std::atomic<bool> failed{false};       ///< a worker threw
 };
+
+/** A busy worker hands work out only from a stack at least this
+ * deep, so each handoff moves enough objects to pay for the lock. */
+constexpr std::size_t kHandoffMin = 32;
+
+/** While mutators run, a worker yields its core after scanning this
+ * many objects, so a mutator sharing the core is not starved by the
+ * marking it is meant to overlap. */
+constexpr std::uint64_t kConcurrentYieldEvery = 1024;
+
+/** Move the older half of @p stack (entries nearer the roots, so the
+ * larger subgraphs) to the handoff list. */
+void
+handOff(TraceShared &sh, std::vector<Addr> &stack)
+{
+    auto mid = stack.begin() + static_cast<std::ptrdiff_t>(stack.size() / 2);
+    std::lock_guard<std::mutex> g(sh.mu);
+    sh.handoff.insert(sh.handoff.end(), stack.begin(), mid);
+    stack.erase(stack.begin(), mid);
+    sh.handoffReady.store(true, std::memory_order_release);
+}
+
+/** Take half (rounded up) of the handoff list into the empty
+ * @p stack; false when there was none. An idle taker leaves the idle
+ * count under the same lock, so no worker can see every worker idle
+ * while handed-off work is in flight. */
+bool
+takeHandoff(TraceShared &sh, std::vector<Addr> &stack, bool was_idle)
+{
+    std::lock_guard<std::mutex> g(sh.mu);
+    if (sh.handoff.empty())
+        return false;
+    auto mid = sh.handoff.end() -
+               static_cast<std::ptrdiff_t>((sh.handoff.size() + 1) / 2);
+    stack.assign(mid, sh.handoff.end());
+    sh.handoff.erase(mid, sh.handoff.end());
+    sh.handoffReady.store(!sh.handoff.empty(), std::memory_order_release);
+    if (was_idle)
+        sh.idle.fetch_sub(1, std::memory_order_acq_rel);
+    return true;
+}
 
 std::uint64_t
 gcNowNs()
@@ -461,20 +504,14 @@ PjhCompactor::compact(bool resume, unsigned workers)
     if (num_slices == 0 || num_slices > PjhMetadata::kMaxGcSlices)
         panic("PJH GC: compact without a planned slice table");
 
-    unsigned effective =
-        static_cast<unsigned>(std::min<std::size_t>(
-            std::max(workers, 1u), num_slices));
-    if (effective <= 1) {
-        for (std::size_t s = 0; s < num_slices; ++s)
-            processSlice(s, resume, nullptr);
-        return;
-    }
-
+    unsigned effective = static_cast<unsigned>(
+        std::min<std::size_t>(std::max(workers, 1u), num_slices));
     std::atomic<std::size_t> next{0};
     std::atomic<bool> abort{false};
-    std::mutex err_mu;
-    std::exception_ptr err;
-    auto body = [&]() {
+    // A SimulatedCrash (or any worker failure) stops the other slices
+    // and propagates to the caller once every worker has stopped
+    // touching the device.
+    h_.gcPool_.run(effective, [&](unsigned) {
         try {
             for (;;) {
                 std::size_t s =
@@ -485,20 +522,10 @@ PjhCompactor::compact(bool resume, unsigned workers)
                 processSlice(s, resume, &abort);
             }
         } catch (...) {
-            {
-                std::lock_guard<std::mutex> g(err_mu);
-                if (!err)
-                    err = std::current_exception();
-            }
             abort.store(true, std::memory_order_relaxed);
+            throw;
         }
-    };
-
-    h_.gcPool_.run(effective, [&](unsigned) { body(); });
-    // A SimulatedCrash (or any worker failure) propagates to the
-    // caller once every worker has stopped touching the device.
-    if (err)
-        std::rethrow_exception(err);
+    });
 }
 
 void
@@ -537,22 +564,24 @@ PjhGc::isFillerRef(Addr ref) const
     return img == h_.fillerInstanceImage_ || img == h_.fillerArrayImage_;
 }
 
-void
-PjhGc::markRef(Addr ref)
+bool
+PjhGc::claim(Addr ref)
 {
     if (ref == kNullAddr || !h_.containsData(ref))
-        return;
-    if (h_.marks_.isMarked(ref))
-        return;
+        return false;
+    // Marked-test *before* the header read: during a concurrent cycle
+    // a ref loaded from a slot a mutator is writing may point at an
+    // object allocated in the cycle (born black or shaded on store),
+    // whose header this thread has no happens-before edge to. An
+    // unmarked object is pre-snapshot and fully visible.
+    if (h_.marks_.isMarkedAtomic(ref))
+        return false;
     // Filler space (retired TLAB tails, repaired gaps) is never
     // user-reachable; a stale volatile slot pointing at it must not
     // resurrect it.
     if (isFillerRef(ref))
-        return;
-    Oop obj(ref);
-    h_.marks_.markObject(ref, pjhRawObjectSize(obj));
-    ++markedCount_;
-    markStack_.push_back(ref);
+        return false;
+    return h_.marks_.tryMarkObject(ref, pjhRawObjectSize(Oop(ref)));
 }
 
 void
@@ -564,172 +593,120 @@ PjhGc::visitDramSlots(const SlotVisitor &visitor)
     vh_->forEachObject([&](Oop o) { o.forEachRefSlot(visitor); });
 }
 
+std::vector<Addr>
+PjhGc::captureRoots()
+{
+    std::vector<Addr> roots;
+    h_.names_.forEach([&](NameEntry &e) {
+        if (e.kind == static_cast<Word>(NameKind::kRoot) &&
+            e.value != kNullAddr)
+            roots.push_back(e.value);
+    });
+    visitDramSlots([&](Addr slot) {
+        Addr v = loadWord(slot);
+        if (v != kNullAddr)
+            roots.push_back(v);
+    });
+    return roots;
+}
+
 void
-PjhGc::markPhase()
+PjhGc::resetMarks()
 {
     h_.marks_.clearAll();
     h_.regionBits_.clearAll();
     markedCount_ = 0;
-
-    unsigned workers = h_.gcThreads();
-    if (workers > 1) {
-        parallelMark(workers);
-        return;
-    }
-
-    auto root_visitor = [this](Addr slot) { markRef(loadWord(slot)); };
-
-    h_.names_.forEach([&](NameEntry &e) {
-        if (e.kind == static_cast<Word>(NameKind::kRoot))
-            markRef(e.value);
-    });
-    visitDramSlots(root_visitor);
-
-    while (!markStack_.empty()) {
-        Oop obj(markStack_.back());
-        markStack_.pop_back();
-        pjhRawForEachRefSlot(obj, root_visitor);
-    }
+    h_.shadeCount_.store(0, std::memory_order_relaxed);
+    h_.bornBlack_.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> g(h_.satbMu_);
+    h_.satbBuffer_.clear();
 }
 
 void
-PjhGc::parallelMark(unsigned num_workers)
+PjhGc::trace(const std::vector<Addr> &roots,
+             const std::vector<Addr> &scanned_only, unsigned workers)
 {
-    // DRAM root slots are enumerated once (the volatile-side visitors
-    // are not range-addressable) and striped across workers, like the
-    // name-table index space.
-    std::vector<Addr> dram_slots;
-    visitDramSlots([&](Addr slot) { dram_slots.push_back(slot); });
-
-    std::vector<MarkWorker> workers(num_workers);
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<unsigned> roots_done{0};
-    std::atomic<bool> failed{false};
-
-    // Claim an object for worker @p me: the CAS on the start bit
-    // guarantees exactly one worker pushes it.
-    auto claim = [&](Addr ref, MarkWorker &me) {
-        if (ref == kNullAddr || !h_.containsData(ref))
-            return;
-        if (isFillerRef(ref))
-            return;
-        Oop obj(ref);
-        std::size_t size = pjhRawObjectSize(obj);
-        if (!h_.marks_.tryMarkObject(ref, size))
-            return;
-        ++me.marked;
-        pending.fetch_add(1, std::memory_order_acq_rel);
-        std::lock_guard<std::mutex> g(me.mu);
-        me.stack.push_back(ref);
-    };
-
-    std::size_t name_cap = h_.names_.capacity();
-    std::size_t n_dram = dram_slots.size();
-    std::mutex err_mu;
-    std::exception_ptr err;
+    TraceShared sh;
+    std::atomic<std::uint64_t> marked{0};
 
     auto body = [&](unsigned wi) {
-        MarkWorker &me = workers[wi];
-        // Root stripe 1: name-table slots [lo, hi).
-        std::size_t lo = name_cap * wi / num_workers;
-        std::size_t hi = name_cap * (wi + 1) / num_workers;
-        for (std::size_t i = lo; i < hi; ++i) {
-            NameEntry *e = h_.names_.entryAt(i);
-            if (e->state == NameEntry::kValid &&
-                e->kind == static_cast<Word>(NameKind::kRoot))
-                claim(e->value, me);
-        }
-        // Root stripe 2: pre-collected DRAM slots.
-        std::size_t dlo = n_dram * wi / num_workers;
-        std::size_t dhi = n_dram * (wi + 1) / num_workers;
-        for (std::size_t i = dlo; i < dhi; ++i)
-            claim(loadWord(dram_slots[i]), me);
-        roots_done.fetch_add(1, std::memory_order_acq_rel);
+        std::vector<Addr> stack;
+        std::uint64_t claimed = 0, scanned = 0;
+        auto visit = [&](Addr ref) {
+            if (claim(ref)) {
+                ++claimed;
+                stack.push_back(ref);
+            }
+        };
+        // Each worker starts from its stripe of the roots and of the
+        // already-claimed objects.
+        auto lo = [&](std::size_t n) { return n * wi / workers; };
+        auto hi = [&](std::size_t n) { return n * (wi + 1) / workers; };
+        for (std::size_t i = lo(roots.size()); i < hi(roots.size()); ++i)
+            visit(roots[i]);
+        std::size_t n_scanned = scanned_only.size();
+        for (std::size_t i = lo(n_scanned); i < hi(n_scanned); ++i)
+            stack.push_back(scanned_only[i]);
 
-        // Trace: drain the local stack, steal when empty. Workers
-        // may only exit once every root stripe is scanned and no
-        // claimed object is still unscanned (pending == 0).
         for (;;) {
-            Addr obj = kNullAddr;
-            {
-                std::lock_guard<std::mutex> g(me.mu);
-                if (!me.stack.empty()) {
-                    obj = me.stack.back();
-                    me.stack.pop_back();
-                }
-            }
-            if (obj == kNullAddr) {
-                for (unsigned t = 1; t < num_workers && obj == kNullAddr;
-                     ++t) {
-                    MarkWorker &victim =
-                        workers[(wi + t) % num_workers];
-                    std::vector<Addr> loot;
-                    {
-                        std::lock_guard<std::mutex> g(victim.mu);
-                        if (!victim.stack.empty()) {
-                            std::size_t take =
-                                (victim.stack.size() + 1) / 2;
-                            loot.assign(victim.stack.begin(),
-                                        victim.stack.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                take));
-                            victim.stack.erase(
-                                victim.stack.begin(),
-                                victim.stack.begin() +
-                                    static_cast<std::ptrdiff_t>(take));
-                        }
-                    }
-                    if (!loot.empty()) {
-                        obj = loot.back();
-                        loot.pop_back();
-                        if (!loot.empty()) {
-                            std::lock_guard<std::mutex> g(me.mu);
-                            me.stack.insert(me.stack.end(),
-                                            loot.begin(), loot.end());
-                        }
-                    }
-                }
-            }
-            if (obj != kNullAddr) {
+            while (!stack.empty()) {
+                if (stack.size() >= kHandoffMin &&
+                    sh.idle.load(std::memory_order_relaxed) != 0 &&
+                    !sh.handoffReady.load(std::memory_order_relaxed))
+                    handOff(sh, stack);
+                Addr obj = stack.back();
+                stack.pop_back();
                 pjhRawForEachRefSlot(Oop(obj), [&](Addr slot) {
-                    claim(loadWord(slot), me);
+                    visit(loadWord(slot));
                 });
-                pending.fetch_sub(1, std::memory_order_acq_rel);
-                continue;
+                if (++scanned % kConcurrentYieldEvery == 0 &&
+                    h_.markingConcurrently())
+                    std::this_thread::yield();
             }
-            if (failed.load(std::memory_order_acquire))
+            if (takeHandoff(sh, stack, /*was_idle=*/false))
+                continue;
+            // SATB entries are already claimed (the barrier won their
+            // CAS); only their children need scanning. The buffer is
+            // empty outside a concurrent cycle. Entries shaded after
+            // the last worker goes idle are the remark's residue.
+            {
+                std::lock_guard<std::mutex> g(h_.satbMu_);
+                stack.swap(h_.satbBuffer_);
+            }
+            if (!stack.empty())
+                continue;
+
+            // Idle: wait for a handoff, or for every worker to be
+            // idle — then no work is left anywhere and all exit.
+            sh.idle.fetch_add(1, std::memory_order_acq_rel);
+            bool resumed = false;
+            while (!sh.failed.load(std::memory_order_acquire)) {
+                if (sh.handoffReady.load(std::memory_order_acquire) &&
+                    takeHandoff(sh, stack, /*was_idle=*/true)) {
+                    resumed = true;
+                    break;
+                }
+                if (sh.idle.load(std::memory_order_acquire) == workers)
+                    break;
+                std::this_thread::yield();
+            }
+            if (!resumed)
                 break;
-            if (roots_done.load(std::memory_order_acquire) ==
-                    num_workers &&
-                pending.load(std::memory_order_acquire) == 0)
-                break;
-            std::this_thread::yield();
         }
+        marked.fetch_add(claimed, std::memory_order_relaxed);
     };
 
-    auto guarded = [&](unsigned wi) {
+    // Marking persists nothing, so a throw here is a programming
+    // error; the flag releases the siblings waiting for it to idle.
+    h_.gcPool_.run(workers, [&](unsigned wi) {
         try {
             body(wi);
         } catch (...) {
-            {
-                std::lock_guard<std::mutex> g(err_mu);
-                if (!err)
-                    err = std::current_exception();
-            }
-            // Marking performs no persistence events, so failures
-            // here are programming errors (panic/fatal throw); the
-            // flag lets sibling workers exit without touching the
-            // pending counter, which they may still be decrementing.
-            failed.store(true, std::memory_order_release);
+            sh.failed.store(true, std::memory_order_release);
+            throw;
         }
-    };
-
-    h_.gcPool_.run(num_workers, guarded);
-    if (err)
-        std::rethrow_exception(err);
-
-    for (const MarkWorker &w : workers)
-        markedCount_ += w.marked;
+    });
+    markedCount_ += marked.load(std::memory_order_relaxed);
 }
 
 void
@@ -751,20 +728,27 @@ PjhGc::fixVolatileSide(const PjhCompactor &compactor)
 }
 
 void
-PjhGc::collect()
+PjhGc::flushMarks()
 {
     NvmDevice &dev = h_.device();
-    PjhMetadata *meta = h_.meta_;
-    unsigned workers = h_.gcThreads();
-
-    // --- Mark, then persist the heap sketch. -------------------------
-    std::uint64_t t_mark = gcNowNs();
-    markPhase();
+    const PjhMetadata *meta = h_.meta_;
     Addr base = reinterpret_cast<Addr>(dev.base());
     dev.flush(base + meta->markStartOff, meta->markBytes);
     dev.flush(base + meta->markLiveOff, meta->markBytes);
     dev.flush(base + meta->regionBitmapOff, meta->regionBitmapBytes);
     dev.fence();
+}
+
+void
+PjhGc::collect()
+{
+    unsigned workers = std::max(1u, h_.gcThreads());
+
+    // --- Mark, then persist the heap sketch. -------------------------
+    std::uint64_t t_mark = gcNowNs();
+    resetMarks();
+    trace(captureRoots(), {}, workers);
+    flushMarks();
     h_.mutableStats().lastGcMarkNs = gcNowNs() - t_mark;
 
     h_.mutableStats().lastGcCompactNs =
@@ -870,188 +854,6 @@ PjhGc::pauseMutators()
 }
 
 void
-PjhGc::traceConcurrent(unsigned num_workers)
-{
-    std::vector<MarkWorker> workers(num_workers);
-    std::atomic<std::uint64_t> pending{0};
-    std::atomic<unsigned> roots_done{0};
-    std::atomic<bool> failed{false};
-
-    // Claim for worker @p me. Unlike the STW claim, the atomic
-    // marked-test comes *before* the header read: refs loaded from
-    // slots mutators are actively writing may point at objects
-    // allocated during the cycle (born black / shaded on store),
-    // whose headers this thread has no happens-before edge to. An
-    // unmarked object is pre-snapshot and fully visible.
-    auto claim = [&](Addr ref, MarkWorker &me) {
-        if (ref == kNullAddr || !h_.containsData(ref))
-            return;
-        if (h_.marks_.isMarkedAtomic(ref))
-            return;
-        if (isFillerRef(ref))
-            return;
-        Oop obj(ref);
-        std::size_t size = pjhRawObjectSize(obj);
-        if (!h_.marks_.tryMarkObject(ref, size))
-            return;
-        ++me.marked;
-        pending.fetch_add(1, std::memory_order_acq_rel);
-        std::lock_guard<std::mutex> g(me.mu);
-        me.stack.push_back(ref);
-    };
-
-    std::size_t n_roots = snapshotRoots_.size();
-    std::mutex err_mu;
-    std::exception_ptr err;
-
-    auto body = [&](unsigned wi) {
-        MarkWorker &me = workers[wi];
-        // Root stripe: snapshot values captured at the initial
-        // safepoint (already filtered to non-null).
-        std::size_t lo = n_roots * wi / num_workers;
-        std::size_t hi = n_roots * (wi + 1) / num_workers;
-        for (std::size_t i = lo; i < hi; ++i)
-            claim(snapshotRoots_[i], me);
-        roots_done.fetch_add(1, std::memory_order_acq_rel);
-
-        // Trace: local stack, then steal-half, then drain the SATB
-        // buffer mutators are filling. Exiting with a non-empty SATB
-        // buffer is benign — the remark safepoint sweeps the residue;
-        // exiting with pending != 0 is not (a claimed object would
-        // never be scanned), hence the termination condition.
-        for (;;) {
-            Addr obj = kNullAddr;
-            {
-                std::lock_guard<std::mutex> g(me.mu);
-                if (!me.stack.empty()) {
-                    obj = me.stack.back();
-                    me.stack.pop_back();
-                }
-            }
-            if (obj == kNullAddr) {
-                for (unsigned t = 1; t < num_workers && obj == kNullAddr;
-                     ++t) {
-                    MarkWorker &victim =
-                        workers[(wi + t) % num_workers];
-                    std::vector<Addr> loot;
-                    {
-                        std::lock_guard<std::mutex> g(victim.mu);
-                        if (!victim.stack.empty()) {
-                            std::size_t take =
-                                (victim.stack.size() + 1) / 2;
-                            loot.assign(victim.stack.begin(),
-                                        victim.stack.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                take));
-                            victim.stack.erase(
-                                victim.stack.begin(),
-                                victim.stack.begin() +
-                                    static_cast<std::ptrdiff_t>(take));
-                        }
-                    }
-                    if (!loot.empty()) {
-                        obj = loot.back();
-                        loot.pop_back();
-                        if (!loot.empty()) {
-                            std::lock_guard<std::mutex> g(me.mu);
-                            me.stack.insert(me.stack.end(),
-                                            loot.begin(), loot.end());
-                        }
-                    }
-                }
-            }
-            if (obj == kNullAddr) {
-                // SATB entries are already claimed (the barrier owns
-                // the CAS); only their children need scanning, so
-                // they enter the pending protocol here.
-                std::vector<Addr> satb;
-                {
-                    std::lock_guard<std::mutex> g(h_.satbMu_);
-                    satb.swap(h_.satbBuffer_);
-                }
-                if (!satb.empty()) {
-                    pending.fetch_add(satb.size(),
-                                      std::memory_order_acq_rel);
-                    obj = satb.back();
-                    satb.pop_back();
-                    if (!satb.empty()) {
-                        std::lock_guard<std::mutex> g(me.mu);
-                        me.stack.insert(me.stack.end(), satb.begin(),
-                                        satb.end());
-                    }
-                }
-            }
-            if (obj != kNullAddr) {
-                pjhRawForEachRefSlot(Oop(obj), [&](Addr slot) {
-                    claim(loadWord(slot), me);
-                });
-                pending.fetch_sub(1, std::memory_order_acq_rel);
-                continue;
-            }
-            if (failed.load(std::memory_order_acquire))
-                break;
-            if (roots_done.load(std::memory_order_acquire) ==
-                    num_workers &&
-                pending.load(std::memory_order_acquire) == 0)
-                break;
-            std::this_thread::yield();
-        }
-    };
-
-    auto guarded = [&](unsigned wi) {
-        try {
-            body(wi);
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> g(err_mu);
-                if (!err)
-                    err = std::current_exception();
-            }
-            failed.store(true, std::memory_order_release);
-        }
-    };
-
-    h_.gcPool_.run(num_workers, guarded);
-    if (err)
-        std::rethrow_exception(err);
-
-    for (const MarkWorker &w : workers)
-        markedCount_ += w.marked;
-}
-
-void
-PjhGc::remark()
-{
-    // Mutators are drained, so this runs single-threaded against a
-    // quiesced heap — the plain STW marking machinery applies.
-    //
-    // 1. SATB residue the markers never drained: entries are already
-    //    marked, only their children need scanning.
-    {
-        std::lock_guard<std::mutex> g(h_.satbMu_);
-        for (Addr ref : h_.satbBuffer_)
-            markStack_.push_back(ref);
-        h_.satbBuffer_.clear();
-    }
-    // 2. Current roots, re-enumerated fresh: name-table entries and
-    //    DRAM slots may have been written since the snapshot (new
-    //    values were insertion-shaded, but a slot filled from a
-    //    pre-snapshot local needs this rescan).
-    auto root_visitor = [this](Addr slot) { markRef(loadWord(slot)); };
-    h_.names_.forEach([&](NameEntry &e) {
-        if (e.kind == static_cast<Word>(NameKind::kRoot))
-            markRef(e.value);
-    });
-    visitDramSlots(root_visitor);
-    // 3. Fixpoint.
-    while (!markStack_.empty()) {
-        Oop obj(markStack_.back());
-        markStack_.pop_back();
-        pjhRawForEachRefSlot(obj, root_visitor);
-    }
-}
-
-void
 PjhGc::collectConcurrent()
 {
     NvmDevice &dev = h_.device();
@@ -1077,15 +879,7 @@ PjhGc::collectConcurrent()
     pauseMutators();
     h_.gcActive_.store(true, std::memory_order_seq_cst);
 
-    h_.marks_.clearAll();
-    h_.regionBits_.clearAll();
-    markedCount_ = 0;
-    h_.shadeCount_.store(0, std::memory_order_relaxed);
-    h_.bornBlack_.store(0, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> g(h_.satbMu_);
-        h_.satbBuffer_.clear();
-    }
+    resetMarks();
 
     // Durable marking-epoch record, armed before any bitmap line of
     // this cycle can reach media: recovery finding it without
@@ -1100,35 +894,30 @@ PjhGc::collectConcurrent()
     // Snapshot root *values*, not slot addresses: the volatile side
     // keeps running under the concurrent trace, and its own GC may
     // move the DRAM objects those slots live in.
-    snapshotRoots_.clear();
-    h_.names_.forEach([&](NameEntry &e) {
-        if (e.kind == static_cast<Word>(NameKind::kRoot) &&
-            e.value != kNullAddr)
-            snapshotRoots_.push_back(e.value);
-    });
-    visitDramSlots([&](Addr slot) {
-        Addr v = loadWord(slot);
-        if (v != kNullAddr)
-            snapshotRoots_.push_back(v);
-    });
+    std::vector<Addr> snapshot = captureRoots();
 
-    // --- Concurrent trace: markers race mutators. -------------------
+    // --- Concurrent trace: markers race mutators, draining the SATB
+    // buffer as it fills. --------------------------------------------
     h_.gcPhase_.store(static_cast<unsigned>(GcPhase::kMarking),
                       std::memory_order_seq_cst);
     std::uint64_t initial_pause_ns = gcNowNs() - t0;
     std::uint64_t t_conc = gcNowNs();
-    traceConcurrent(workers);
+    trace(snapshot, {}, workers);
     std::uint64_t conc_ns = gcNowNs() - t_conc;
 
     // --- Final safepoint: remark to fixpoint, persist the sketch. ---
+    // With mutators drained the fixpoint is exact: rescan the current
+    // roots (a slot filled from a pre-snapshot local since the
+    // snapshot needs this) and the SATB residue the markers left.
     std::uint64_t t_remark = gcNowNs();
     pauseMutators();
-    remark();
-    Addr base = reinterpret_cast<Addr>(dev.base());
-    dev.flush(base + meta->markStartOff, meta->markBytes);
-    dev.flush(base + meta->markLiveOff, meta->markBytes);
-    dev.flush(base + meta->regionBitmapOff, meta->regionBitmapBytes);
-    dev.fence();
+    std::vector<Addr> residue;
+    {
+        std::lock_guard<std::mutex> g(h_.satbMu_);
+        residue.swap(h_.satbBuffer_);
+    }
+    trace(captureRoots(), residue, workers);
+    flushMarks();
     std::uint64_t remark_ns = gcNowNs() - t_remark;
     h_.mutableStats().lastGcMarkNs = conc_ns + remark_ns;
 

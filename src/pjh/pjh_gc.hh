@@ -29,11 +29,17 @@
  * Both phases are region-parallel (the paper's §4.2 bitmap design
  * permits region-granular compaction):
  *
- *  - **Mark** runs gcThreads workers with per-worker mark stacks and
- *    work stealing. An object is claimed by an atomic CAS on its
- *    start bit, so it is pushed onto exactly one worker's stack.
- *    Roots are partitioned across workers: each scans a stripe of
- *    name-table slots and a stripe of the pre-collected DRAM slots.
+ *  - **Mark** is one tracer for every mode (STW, concurrent,
+ *    remark): gcThreads workers (one by default), each claiming a
+ *    stripe of the captured root values and tracing from it on a
+ *    private stack. An object is claimed by an atomic CAS on its
+ *    start bit, so exactly one worker scans it. A worker hands half
+ *    of a long stack to a shared list only while another worker is
+ *    idle, so one worker runs the plain sequential loop. Only the
+ *    trace is parallel: the bitmap flush after it is serial, and on
+ *    bench/mt_gc's 64 MiB space it takes 4-6 ms against a 2-3 ms
+ *    one-worker trace, so 4 workers shorten the mark phase by about
+ *    a fifth at best (see EXPERIMENTS.md).
  *  - **Compact** partitions the used regions into up to gcThreads
  *    slices balanced by live bytes. Each slice packs its live data
  *    into its own region span (see RegionTable::buildSummary's
@@ -175,17 +181,36 @@ class PjhGc
     void collectConcurrent();
 
   private:
-    void markPhase();
-    void parallelMark(unsigned num_workers);
-    /** Trace from the snapshot roots while mutators run, draining
-     * the heap's SATB buffer as it fills. */
-    void traceConcurrent(unsigned num_workers);
-    /** Safepoint fixpoint: rescan all roots + drain the SATB residue
-     * (mutators drained, so the fixpoint is exact). */
-    void remark();
+    /**
+     * The one marker. Claim every unmarked object reachable from
+     * @p roots (values, not slots) and scan the children of
+     * @p scanned_only (objects a barrier already claimed), on
+     * @p workers threads. Each worker owns a lock-free stack and
+     * hands half of a long one to an empty shared list only while
+     * another worker is idle; before idling it drains the SATB buffer (empty
+     * outside a concurrent cycle), so a concurrent trace keeps up
+     * with the write barrier. Workers stop once all are idle. The
+     * bitmap claim is the only per-object shared write, so one worker
+     * runs the plain sequential mark. The STW mark, the concurrent
+     * mark and the remark (fresh roots plus the SATB residue, with
+     * mutators paused) are all this call. Adds the claims to
+     * markedCount_.
+     */
+    void trace(const std::vector<Addr> &roots,
+               const std::vector<Addr> &scanned_only, unsigned workers);
+    /** Atomically mark @p ref when it is an unmarked, non-filler data
+     * object. Tests the mark bit before reading the header, so it is
+     * safe against objects mutators publish mid-cycle. */
+    bool claim(Addr ref);
+    /** Values of the name table's kRoot entries and of every DRAM
+     * slot (handles, volatile objects), nulls dropped. */
+    std::vector<Addr> captureRoots();
+    /** Clear the bitmaps, the SATB buffer and the cycle counters. */
+    void resetMarks();
+    /** Persist the mark and region bitmaps (the heap sketch). */
+    void flushMarks();
     /** Flip to kPaused and drain mutator brackets. */
     void pauseMutators();
-    void markRef(Addr ref);
     bool isFillerRef(Addr ref) const;
     void visitDramSlots(const SlotVisitor &visitor);
     void fixVolatileSide(const PjhCompactor &compactor);
@@ -202,10 +227,6 @@ class PjhGc
 
     PjhHeap &h_;
     VolatileHeap *vh_;
-    std::vector<Addr> markStack_;
-    /** Root *values* captured at the initial safepoint (slot
-     * addresses can go stale while the volatile side runs). */
-    std::vector<Addr> snapshotRoots_;
     std::uint64_t markedCount_ = 0;
 };
 

@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "pjh/pjh_gc.hh"
 #include "pjh/pjh_recovery.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace espresso {
@@ -47,23 +49,24 @@ nowNs()
 std::size_t
 tlabBytesFromEnv(std::size_t stored)
 {
-    if (const char *s = std::getenv("ESPRESSO_TLAB_BYTES")) {
-        long v = std::atol(s);
-        if (v > 0)
-            return alignUp(static_cast<std::size_t>(v), kWordSize);
-    }
-    return stored;
+    // A rejected or absent knob keeps the stored chunk size.
+    auto fallback = static_cast<unsigned>(std::min<std::size_t>(
+        stored, std::numeric_limits<unsigned>::max()));
+    return alignUp(envUnsigned("ESPRESSO_TLAB_BYTES", fallback), kWordSize);
+}
+
+/** The GC worker count a heap can run: no more than the slice plan
+ * holds. */
+unsigned
+clampGcThreads(unsigned n)
+{
+    return std::min(n, static_cast<unsigned>(PjhMetadata::kMaxGcSlices));
 }
 
 unsigned
 gcThreadsFromEnv()
 {
-    if (const char *s = std::getenv("ESPRESSO_GC_THREADS")) {
-        long v = std::atol(s);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return 1;
+    return clampGcThreads(envUnsigned("ESPRESSO_GC_THREADS", 1));
 }
 
 bool
@@ -139,11 +142,9 @@ PjhHeap::PjhHeap(NvmDevice *device, KlassRegistry *registry)
 void
 PjhHeap::setGcThreads(unsigned n)
 {
-    if (n == 0)
-        n = gcThreadsFromEnv(); // restore the default
-    if (n > PjhMetadata::kMaxGcSlices)
-        n = static_cast<unsigned>(PjhMetadata::kMaxGcSlices);
-    gcThreads_.store(n, std::memory_order_relaxed);
+    // 0 restores the default.
+    gcThreads_.store(n == 0 ? gcThreadsFromEnv() : clampGcThreads(n),
+                     std::memory_order_relaxed);
 }
 
 void

@@ -266,7 +266,9 @@ class PjhHeap : public ExternalSpace
      * 1 (the default) is the classic serial stop-the-world path;
      * higher values fan mark work and compaction slices out across
      * threads, bounded by PjhMetadata::kMaxGcSlices. Defaults to
-     * ESPRESSO_GC_THREADS when set; passing 0 restores that default.
+     * ESPRESSO_GC_THREADS when it is a positive integer (anything
+     * else is rejected with a warning), capped the same way; passing
+     * 0 restores that default.
      */
     /// @{
     unsigned

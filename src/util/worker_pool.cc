@@ -1,5 +1,7 @@
 #include "util/worker_pool.hh"
 
+#include <utility>
+
 namespace espresso {
 
 WorkerPool::~WorkerPool()
@@ -18,18 +20,39 @@ WorkerPool::run(unsigned n, const std::function<void(unsigned)> &fn)
 {
     if (n == 0)
         return;
-    std::unique_lock<std::mutex> lock(mu_);
-    while (threads_.size() < n) {
-        unsigned idx = static_cast<unsigned>(threads_.size());
-        threads_.emplace_back([this, idx]() { threadMain(idx); });
+    {
+        std::lock_guard<std::mutex> g(mu_);
+        while (threads_.size() + 1 < n) {
+            unsigned idx = static_cast<unsigned>(threads_.size()) + 1;
+            threads_.emplace_back([this, idx]() { threadMain(idx); });
+        }
+        fn_ = &fn;
+        width_ = n;
+        remaining_ = n - 1;
+        ++round_;
     }
-    fn_ = &fn;
-    width_ = n;
-    remaining_ = n;
-    ++round_;
-    workCv_.notify_all();
+    if (n > 1)
+        workCv_.notify_all();
+    runOne(fn, 0);
+    std::unique_lock<std::mutex> lock(mu_);
     doneCv_.wait(lock, [this]() { return remaining_ == 0; });
     fn_ = nullptr;
+    std::exception_ptr err = std::exchange(err_, nullptr);
+    lock.unlock();
+    if (err)
+        std::rethrow_exception(err);
+}
+
+void
+WorkerPool::runOne(const std::function<void(unsigned)> &fn, unsigned idx)
+{
+    try {
+        fn(idx);
+    } catch (...) {
+        std::lock_guard<std::mutex> g(mu_);
+        if (!err_)
+            err_ = std::current_exception();
+    }
 }
 
 void
@@ -46,7 +69,7 @@ WorkerPool::threadMain(unsigned idx)
         seen = round_;
         const std::function<void(unsigned)> *fn = fn_;
         lock.unlock();
-        (*fn)(idx);
+        runOne(*fn, idx);
         lock.lock();
         if (--remaining_ == 0)
             doneCv_.notify_all();

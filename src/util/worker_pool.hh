@@ -16,6 +16,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -34,15 +35,22 @@ class WorkerPool
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * Run @p fn(0) .. @p fn(n-1) on pool threads and block until all
-     * return. The pool grows to @p n threads on demand and never
-     * shrinks. @p fn must not throw (wrap bodies that can). Not
-     * reentrant: one run() at a time.
+     * Run @p fn(0) .. @p fn(n-1) and block until all return. fn(0)
+     * runs on the calling thread, the rest on pool threads; the pool
+     * grows to n-1 threads on demand and never shrinks. @p fn may
+     * throw: run() rethrows the first exception only once every
+     * worker has returned, so no worker still touches shared state
+     * when the caller unwinds. A throwing worker does not stop its
+     * siblings — a caller whose workers wait on each other keeps its
+     * own abort flag and sets it before rethrowing. Not reentrant:
+     * one run() at a time.
      */
     void run(unsigned n, const std::function<void(unsigned)> &fn);
 
   private:
     void threadMain(unsigned idx);
+    /** Run fn(idx), recording the first exception of the round. */
+    void runOne(const std::function<void(unsigned)> &fn, unsigned idx);
 
     std::mutex mu_;
     std::condition_variable workCv_; ///< workers wait for a round
@@ -53,8 +61,9 @@ class WorkerPool
      * round's width. */
     std::uint64_t round_ = 0;
     unsigned width_ = 0;     ///< workers participating this round
-    unsigned remaining_ = 0; ///< participants still running
+    unsigned remaining_ = 0; ///< pool threads still running
     bool stop_ = false;
+    std::exception_ptr err_; ///< first exception this round
     std::vector<std::thread> threads_;
 };
 

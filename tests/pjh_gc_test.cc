@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/espresso.hh"
 #include "util/rng.hh"
@@ -108,47 +111,6 @@ TEST_F(PjhGcTest, PreservesListsThroughCompaction)
     EXPECT_EQ(count, static_cast<std::size_t>(kLen));
 }
 
-TEST_F(PjhGcTest, DramHandlesActAsRootsAndAreFixedUp)
-{
-    Oop n = pnode(42);
-    Handle h = rt_->handles().create(n); // only a DRAM root, no PJH root
-    for (int i = 0; i < 500; ++i)
-        pnode(-i); // garbage below/around it
-
-    h_->collect(&rt_->heap());
-
-    Oop moved = h.get();
-    ASSERT_FALSE(moved.isNull());
-    EXPECT_TRUE(h_->containsData(moved.addr()));
-    EXPECT_EQ(moved.getI64(valueOff_), 42);
-    rt_->handles().release(h);
-
-    // With the handle gone it becomes garbage.
-    std::size_t used = h_->dataUsed();
-    h_->collect(&rt_->heap());
-    EXPECT_LT(h_->dataUsed(), used);
-}
-
-TEST_F(PjhGcTest, VolatileObjectsReferencingPjhAreRootsAndFixed)
-{
-    // A DRAM Node pointing into NVM: the NVM target must survive and
-    // the DRAM slot must be updated when it moves.
-    Oop pnvm = pnode(7);
-    Oop dram = rt_->newInstance("Node");
-    dram.setRef(nextOff_, pnvm);
-    Handle hd = rt_->handles().create(dram);
-    for (int i = 0; i < 500; ++i)
-        pnode(-i);
-
-    h_->collect(&rt_->heap());
-
-    Oop target = Oop(hd.get().getRef(nextOff_));
-    ASSERT_FALSE(target.isNull());
-    EXPECT_TRUE(h_->containsData(target.addr()));
-    EXPECT_EQ(target.getI64(valueOff_), 7);
-    rt_->handles().release(hd);
-}
-
 TEST_F(PjhGcTest, NvmToDramPointersSurviveCollection)
 {
     Oop p = pnode(1);
@@ -233,45 +195,6 @@ TEST_F(PjhGcTest, SurvivesCollectionThenReload)
         EXPECT_EQ(cur.getI64(valueOff_), i);
         cur = Oop(cur.getRef(nextOff_));
     }
-}
-
-TEST_F(PjhGcTest, ParallelCollectionPreservesGraphsAndCounts)
-{
-    h_->setGcThreads(4);
-    const int kLists = 8, kLen = 150;
-    std::vector<std::int64_t> expected;
-    for (int l = 0; l < kLists; ++l) {
-        Oop head;
-        for (int i = 0; i < kLen; ++i)
-            head = pnode(l * 1000 + i, head);
-        h_->setRoot("list" + std::to_string(l), head);
-        expected.push_back(listSum(head));
-        for (int g = 0; g < 400; ++g)
-            pnode(-g); // interleaved garbage
-    }
-
-    h_->collect(&rt_->heap());
-
-    EXPECT_EQ(h_->stats().lastGcMarked,
-              static_cast<std::uint64_t>(kLists * kLen));
-    std::size_t count = 0;
-    h_->forEachObject([&](Oop o) {
-        ++count;
-        EXPECT_EQ(o.klass()->name(), "Node");
-    });
-    EXPECT_EQ(count, static_cast<std::size_t>(kLists * kLen));
-    for (int l = 0; l < kLists; ++l)
-        EXPECT_EQ(listSum(h_->getRoot("list" + std::to_string(l))),
-                  expected[l])
-            << "list " << l;
-
-    // Idempotence with slice-local packing: a second parallel
-    // collection of the stable graph keeps every list intact.
-    h_->collect(&rt_->heap());
-    for (int l = 0; l < kLists; ++l)
-        EXPECT_EQ(listSum(h_->getRoot("list" + std::to_string(l))),
-                  expected[l])
-            << "list " << l << " after second collection";
 }
 
 TEST_F(PjhGcTest, ParallelCollectionHandlesRegionStraddlers)
@@ -516,6 +439,142 @@ TEST_F(PjhGcTest, SatbBarrierKeepsSnapshotAliveOneCycle)
     std::size_t live = 0;
     h_->forEachObject([&](Oop) { ++live; });
     EXPECT_EQ(live, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Every marking configuration: stop-the-world or concurrent, one or
+// four workers. One tracer serves them all, so each must mark the
+// same objects and leave the same graph.
+// ---------------------------------------------------------------------
+
+class PjhGcModeTest
+    : public PjhGcTest,
+      public ::testing::WithParamInterface<std::tuple<bool, unsigned>>
+{
+  protected:
+    PjhGcModeTest()
+    {
+        h_->setGcConcurrent(std::get<0>(GetParam()));
+        h_->setGcThreads(std::get<1>(GetParam()));
+    }
+};
+
+TEST_P(PjhGcModeTest, DramHandlesActAsRootsAndAreFixedUp)
+{
+    Oop n = pnode(42);
+    Handle h = rt_->handles().create(n); // only a DRAM root, no PJH root
+    for (int i = 0; i < 500; ++i)
+        pnode(-i); // garbage below/around it
+
+    h_->collect(&rt_->heap());
+
+    EXPECT_EQ(h_->stats().lastGcMarked, 1u);
+    Oop moved = h.get();
+    ASSERT_FALSE(moved.isNull());
+    EXPECT_TRUE(h_->containsData(moved.addr()));
+    EXPECT_EQ(moved.getI64(valueOff_), 42);
+    rt_->handles().release(h);
+
+    // With the handle gone it becomes garbage.
+    std::size_t used = h_->dataUsed();
+    h_->collect(&rt_->heap());
+    EXPECT_EQ(h_->stats().lastGcMarked, 0u);
+    EXPECT_LT(h_->dataUsed(), used);
+}
+
+TEST_P(PjhGcModeTest, VolatileObjectsReferencingPjhAreRootsAndFixed)
+{
+    // A DRAM Node pointing into NVM: the NVM target must survive and
+    // the DRAM slot must be updated when it moves.
+    Oop pnvm = pnode(7);
+    Oop dram = rt_->newInstance("Node");
+    dram.setRef(nextOff_, pnvm);
+    Handle hd = rt_->handles().create(dram);
+    for (int i = 0; i < 500; ++i)
+        pnode(-i);
+
+    h_->collect(&rt_->heap());
+
+    EXPECT_EQ(h_->stats().lastGcMarked, 1u);
+    Oop target = Oop(hd.get().getRef(nextOff_));
+    ASSERT_FALSE(target.isNull());
+    EXPECT_TRUE(h_->containsData(target.addr()));
+    EXPECT_EQ(target.getI64(valueOff_), 7);
+    rt_->handles().release(hd);
+}
+
+TEST_P(PjhGcModeTest, CollectionPreservesGraphsAndCounts)
+{
+    const int kLists = 8, kLen = 150;
+    std::vector<std::int64_t> expected;
+    for (int l = 0; l < kLists; ++l) {
+        Oop head;
+        for (int i = 0; i < kLen; ++i)
+            head = pnode(l * 1000 + i, head);
+        h_->setRoot("list" + std::to_string(l), head);
+        expected.push_back(listSum(head));
+        for (int g = 0; g < 400; ++g)
+            pnode(-g); // interleaved garbage
+    }
+
+    h_->collect(&rt_->heap());
+
+    EXPECT_EQ(h_->stats().lastGcMarked,
+              static_cast<std::uint64_t>(kLists * kLen));
+    std::size_t count = 0;
+    h_->forEachObject([&](Oop o) {
+        ++count;
+        EXPECT_EQ(o.klass()->name(), "Node");
+    });
+    EXPECT_EQ(count, static_cast<std::size_t>(kLists * kLen));
+    for (int l = 0; l < kLists; ++l)
+        EXPECT_EQ(listSum(h_->getRoot("list" + std::to_string(l))),
+                  expected[l])
+            << "list " << l;
+
+    // Idempotence with slice-local packing: a second collection of
+    // the stable graph keeps every list intact.
+    h_->collect(&rt_->heap());
+    EXPECT_EQ(h_->stats().lastGcMarked,
+              static_cast<std::uint64_t>(kLists * kLen));
+    for (int l = 0; l < kLists; ++l)
+        EXPECT_EQ(listSum(h_->getRoot("list" + std::to_string(l))),
+                  expected[l])
+            << "list " << l << " after second collection";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, PjhGcModeTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, unsigned>> &info) {
+        return std::string(std::get<0>(info.param) ? "Concurrent" : "Stw") +
+               std::to_string(std::get<1>(info.param)) + "Threads";
+    });
+
+TEST(PjhGcKnobTest, GcThreadsEnvIsStrictAndClamped)
+{
+    const char *saved = std::getenv("ESPRESSO_GC_THREADS");
+    std::string saved_value = saved ? saved : "";
+    auto threads_under = [](const char *value) {
+        ::setenv("ESPRESSO_GC_THREADS", value, 1);
+        EspressoRuntime rt;
+        PjhHeap *h = rt.heaps().createHeap("knob", 1u << 20);
+        unsigned from_env = h->gcThreads();
+        h->setGcThreads(3);
+        h->setGcThreads(0); // restores the env default
+        EXPECT_EQ(h->gcThreads(), from_env) << value;
+        return from_env;
+    };
+    // Trailing garbage is rejected, not truncated to its prefix.
+    EXPECT_EQ(threads_under("4x"), 1u);
+    EXPECT_EQ(threads_under("4"), 4u);
+    // The env default obeys the same cap as setGcThreads.
+    EXPECT_EQ(threads_under("64"),
+              static_cast<unsigned>(PjhMetadata::kMaxGcSlices));
+    if (saved)
+        ::setenv("ESPRESSO_GC_THREADS", saved_value.c_str(), 1);
+    else
+        ::unsetenv("ESPRESSO_GC_THREADS");
 }
 
 } // namespace

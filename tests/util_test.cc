@@ -1,9 +1,15 @@
 /**
  * @file
- * Unit tests for util: alignment, bitmaps, phase timer, RNG.
+ * Unit tests for util: alignment, bitmaps, phase timer, RNG, env
+ * knobs, the fork/join worker pool.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 
 #include "util/bitmap.hh"
 #include "util/common.hh"
@@ -11,6 +17,7 @@
 #include "util/logging.hh"
 #include "util/phase_timer.hh"
 #include "util/rng.hh"
+#include "util/worker_pool.hh"
 
 namespace espresso {
 namespace {
@@ -160,6 +167,49 @@ TEST(EnvTest, UnsignedKnobParsesStrictly)
     EXPECT_EQ(envUnsigned(kName, 3), 3u);
 
     unsetenv(kName);
+}
+
+TEST(WorkerPoolTest, RethrowsFirstErrorAfterEveryWorkerReturns)
+{
+    WorkerPool pool;
+    std::atomic<unsigned> finished{0};
+    auto body = [&](unsigned w) {
+        if (w == 2)
+            throw std::runtime_error("worker 2");
+        // The siblings outlive the thrower: run() must still wait.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+    };
+    try {
+        pool.run(4, body);
+        FAIL() << "run() swallowed the worker's exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "worker 2");
+    }
+    EXPECT_EQ(finished.load(), 3u);
+
+    // The error does not leak into the next round.
+    std::atomic<unsigned> ran{0};
+    pool.run(4, [&](unsigned) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 4u);
+}
+
+TEST(WorkerPoolTest, OneWorkerRunsOnTheCallingThread)
+{
+    WorkerPool pool;
+    std::thread::id ran_on;
+    unsigned index = 99;
+    pool.run(1, [&](unsigned w) {
+        ran_on = std::this_thread::get_id();
+        index = w;
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    EXPECT_EQ(index, 0u);
+    EXPECT_THROW(pool.run(1,
+                          [](unsigned) {
+                              throw std::runtime_error("inline");
+                          }),
+                 std::runtime_error);
 }
 
 } // namespace
